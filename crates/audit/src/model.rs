@@ -51,13 +51,13 @@ const MAX_QUEUE: usize = 2;
 /// Each name is documented next to the production code it guards:
 ///
 /// * `fail-closed-when-fully-quarantined` — `GuillotineFleet::affinity_route`
-/// * `no-serve-from-quarantined-shard` — `GuillotineFleet::serve_with`
+/// * `no-serve-from-quarantined-shard` — `GuillotineFleet::scatter_gather`
 /// * `session-order-preserved-across-rehome` — `GuillotineFleet::quarantine_shard`
 /// * `no-kv-from-invalidated-generation` — `guillotine_model::kv::KvTier`
 /// * `no-chunk-after-severed-stream` —
 ///   `GuillotineDeployment::serve_batch_streaming_with_chunk`
 /// * `no-reinstate-without-quorum` — `GuillotineDeployment::console_transition`
-/// * `no-double-serve-under-retry` — `FrontDoor::serve_recoverable`'s ticket
+/// * `no-double-serve-under-retry` — `FrontDoor::serve`'s ticket
 ///   idempotency (a retry/hedge duplicate of an already-served request must
 ///   be suppressed, never served again)
 /// * `no-relax-while-partitioned` — `FleetConsole::bulk_relax` (a quorum

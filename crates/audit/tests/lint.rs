@@ -42,9 +42,9 @@ fn working_tree_is_lint_clean() {
     }
 }
 
-/// The known, reviewed suppressions: the fleet slot-take invariant (in
-/// both the plain and the fault-tolerant batch driver) and the
-/// compile-time Unicode case-variant expansion. If this list grows, the
+/// The known, reviewed suppressions: the compile-time Unicode case-variant
+/// expansion, and nothing on the serve path (the fleet's one batch driver
+/// borrows its requests, so there is no slot to take). If this list grows, the
 /// new entry was either justified in review or someone is bypassing the
 /// gate — either way it should show up in a test diff.
 #[test]
@@ -54,7 +54,7 @@ fn suppression_inventory_is_exactly_the_reviewed_set() {
     rules.sort_unstable();
     assert_eq!(
         rules,
-        ["no-case-alloc", "no-case-alloc", "no-panic", "no-panic"],
+        ["no-case-alloc", "no-case-alloc"],
         "allows: {:?}",
         outcome.allows
     );

@@ -6,9 +6,8 @@
 //! completes when its slowest shard finishes): per wave of W requests a
 //! single shard pays `launch + W × per-request`, while S shards pay
 //! `launch + (W/S) × per-request` — the acceptance bar is ≥1.5x simulated
-//! throughput at 8 shards vs 1. `serve_batch_parallel` additionally spreads
-//! the shard work across OS threads, so multi-core hosts see wall-clock
-//! gains too; the Criterion group measures that side. Per-shard
+//! throughput at 8 shards vs 1. In wall-clock the fleet's one serve driver
+//! visits shards serially; the Criterion group measures that cost. Per-shard
 //! `forward_launches()` witness the amortization: one launch per shard per
 //! wave.
 
@@ -46,13 +45,9 @@ fn fleet(shards: usize) -> GuillotineFleet {
 }
 
 /// Serves the whole stream and returns simulated elapsed seconds.
-fn serve_stream(fleet: &mut GuillotineFleet, parallel: bool) -> f64 {
+fn serve_stream(fleet: &mut GuillotineFleet) -> f64 {
     for wave in stream() {
-        let responses = if parallel {
-            fleet.serve_batch_parallel(wave).unwrap()
-        } else {
-            fleet.serve_batch(wave).unwrap()
-        };
+        let responses = fleet.serve_batch(wave).unwrap();
         assert!(responses.iter().all(|r| r.delivered()));
     }
     fleet.stats().elapsed.as_nanos() as f64 / 1e9
@@ -65,7 +60,7 @@ fn bench(c: &mut Criterion) {
     let mut throughput = Vec::new();
     for shards in [1usize, 2, 8] {
         let mut f = fleet(shards);
-        let elapsed = serve_stream(&mut f, true);
+        let elapsed = serve_stream(&mut f);
         // The amortization witness: every shard launched its forward pass
         // exactly once per wave it participated in.
         for stats in f.stats().shards {
@@ -97,26 +92,16 @@ fn bench(c: &mut Criterion) {
         .bar("speedup_8_shards", speedup_8, 1.5)
         .write();
 
-    // Wall-clock side: Criterion over the serial and threaded paths.
+    // Wall-clock side: Criterion over the serial serve path.
     let mut group = c.benchmark_group("e14_fleet_throughput");
     group.sample_size(10);
     for shards in [1usize, 2, 8] {
         group.bench_with_input(BenchmarkId::new("serve_batch", shards), &shards, |b, &n| {
             b.iter(|| {
                 let mut f = fleet(n);
-                serve_stream(&mut f, false)
+                serve_stream(&mut f)
             })
         });
-        group.bench_with_input(
-            BenchmarkId::new("serve_batch_parallel", shards),
-            &shards,
-            |b, &n| {
-                b.iter(|| {
-                    let mut f = fleet(n);
-                    serve_stream(&mut f, true)
-                })
-            },
-        );
     }
     group.finish();
 }

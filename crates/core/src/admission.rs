@@ -25,7 +25,10 @@
 //! Serving through the front door is **byte-identical** to calling
 //! `serve_batch` directly with the same requests (property-tested in
 //! `tests/admission.rs`): batch forming decides grouping and timing, never
-//! content. The real queue wait is added to each response's
+//! content. There is one settle path: a door without recovery enabled runs
+//! it on [`RecoveryConfig::disabled`] (no retries, no hedges), so a request
+//! a crashed or erroring shard strands is answered with an explicit
+//! refusal, never dropped. The real queue wait is added to each response's
 //! `latency.queue`, and under [`RoutingPolicy::LeastLoaded`](crate::fleet::RoutingPolicy)
 //! the door keeps [`GuillotineFleet::set_queued_load`] in sync so routing
 //! counts waiting work as load.
@@ -136,9 +139,9 @@ pub struct FrontDoor {
     /// with [`DeadlinePolicy::targeting_first_token`] by
     /// [`FrontDoor::ttft_deadline_aware`], but independently toggleable.
     ttft_deadlines: bool,
-    /// Self-healing budget; `None` keeps the door on the plain serve path
-    /// (byte-identical to `serve_batch`, as the equivalence proptest
-    /// demands).
+    /// Self-healing budget; `None` serves on [`RecoveryConfig::disabled`]
+    /// (stranded requests are refused at once) and keeps the ladder and
+    /// the idempotency/session-order witnesses off.
     recovery: Option<RecoveryConfig>,
     /// Deterministic backoff-jitter source (seeded from the config).
     recovery_rng: DetRng,
@@ -250,8 +253,8 @@ impl FrontDoor {
     /// bounded jittered backoff, stragglers are timed out / hedged onto
     /// another shard, ticket idempotency suppresses duplicate completions,
     /// and the door walks the graceful-degradation ladder as fleet health
-    /// changes. Without this, the door serves on the plain path
-    /// (byte-identical to `serve_batch`).
+    /// changes. Without this, the door serves the same path with every
+    /// budget at zero: a stranded request is refused, not retried.
     pub fn enable_recovery(&mut self, config: RecoveryConfig) {
         self.recovery_rng = DetRng::seed(config.seed);
         self.recovery = Some(config);
@@ -566,7 +569,7 @@ impl FrontDoor {
         self.fire_due_control_crash();
         self.maybe_snapshot();
         match self.controller.form(self.fleet.clock.now()) {
-            Some(batch) => Ok(Some(self.serve(batch)?)),
+            Some(batch) => Ok(Some(self.serve(batch))),
             None => Ok(None),
         }
     }
@@ -584,7 +587,7 @@ impl FrontDoor {
             let Some(batch) = self.controller.flush(self.fleet.clock.now()) else {
                 break;
             };
-            responses.extend(self.serve(batch)?);
+            responses.extend(self.serve(batch));
         }
         Ok(responses)
     }
@@ -626,16 +629,25 @@ impl FrontDoor {
         Ok((decisions, responses))
     }
 
-    /// Serves one formed batch through the fleet and settles accounting:
-    /// queued-load release, queue wait added to each response's latency,
-    /// submission-to-first-token recording for streams that emitted a
-    /// token, and deadline hit/miss recording — against batch completion,
-    /// or against the first-token instant when the door judges TTFT
-    /// deadlines.
-    fn serve(&mut self, batch: Vec<Admitted<ServeRequest>>) -> Result<Vec<ServeResponse>> {
-        if self.recovery.is_some() {
-            return self.serve_recoverable(batch);
-        }
+    /// Serves one formed batch through the fleet and settles accounting —
+    /// the one settle path of every door. The door keeps the batch and the
+    /// fleet borrows it, so a stranded request is still here to retry:
+    /// stranded requests are retried with bounded jittered backoff *inside
+    /// the batch* (no later batch can overtake them — per-session prefix
+    /// order is preserved by construction), timed-out/straggling responses
+    /// are re-dispatched to a hedge shard, and what exhausts its budget is
+    /// refused (never lost). A door without recovery enabled runs the same
+    /// path on [`RecoveryConfig::disabled`]: no retries, no hedges, so a
+    /// stranded request becomes an explicit refusal at once.
+    ///
+    /// Settling is: queued-load release, queue wait added to each
+    /// response's latency, submission-to-first-token recording for streams
+    /// that emitted a token, deadline hit/miss recording (against batch
+    /// completion, or the first-token instant when the door judges TTFT
+    /// deadlines), the WAL completion record, and — on recovery-enabled
+    /// doors — the idempotency and session-order witnesses.
+    fn serve(&mut self, batch: Vec<Admitted<ServeRequest>>) -> Vec<ServeResponse> {
+        let cfg = self.recovery.unwrap_or_else(RecoveryConfig::disabled);
         let mut stamps = Vec::with_capacity(batch.len());
         let mut requests = Vec::with_capacity(batch.len());
         for admitted in batch {
@@ -649,80 +661,11 @@ impl FrontDoor {
         }
         self.push_queued_load();
         self.journal_dispatch(&stamps);
-        let mut responses = self.fleet.serve_batch(requests)?;
-        if self.fire_due_control_crash() {
-            // The crash landed while the batch was in flight: no response
-            // was released and no Complete record committed, so recovery
-            // re-queued the whole batch from the journal — or, without
-            // one, lost it along with the queue.
-            if self.journal.is_none() {
-                self.fleet.recovery_mut().acked_lost += stamps.len() as u64;
-            }
-            return Ok(Vec::new());
-        }
-        let completed = self.fleet.clock.now();
-        for ((stamp, dispatched), response) in stamps.iter().zip(responses.iter_mut()) {
-            let wait = dispatched.duration_since(stamp.arrival);
-            response.latency.queue = response.latency.queue.saturating_add(wait);
-            // The pipeline stamps time-to-first-token from batch entry;
-            // the submission-to-first-token the producer experienced adds
-            // the queue wait in front of it. Refused/never-streamed
-            // responses carry no sample.
-            let ttft = response.latency.time_to_first_token;
-            if ttft > SimDuration::ZERO {
-                self.controller.record_ttft(wait.saturating_add(ttft));
-            }
-            let achieved = if self.ttft_deadlines && ttft > SimDuration::ZERO {
-                dispatched.saturating_add(ttft)
-            } else {
-                completed
-            };
-            self.controller.record_served(stamp, achieved);
-            self.journal_complete(stamp, response);
-            self.telemetry_settle(
-                stamp,
-                *dispatched,
-                completed,
-                achieved,
-                response.outcome,
-                true,
-            );
-        }
-        Ok(responses)
-    }
-
-    /// The self-healing serve path: dispatches through
-    /// [`GuillotineFleet::serve_batch_attempt`], retries stranded requests
-    /// with bounded jittered backoff *inside the batch* (so no later batch
-    /// can overtake them — per-session prefix order is preserved by
-    /// construction), re-dispatches timed-out/straggling responses to a
-    /// hedge shard, refuses what exhausts its budget (never loses it), and
-    /// settles the same accounting as the plain path plus the idempotency
-    /// and session-order witnesses.
-    fn serve_recoverable(
-        &mut self,
-        batch: Vec<Admitted<ServeRequest>>,
-    ) -> Result<Vec<ServeResponse>> {
-        // The caller only routes here with recovery enabled; the fallback
-        // keeps this hot path panic-free.
-        let cfg = self.recovery.unwrap_or_else(RecoveryConfig::disabled);
-        let mut stamps = Vec::with_capacity(batch.len());
-        let mut requests = Vec::with_capacity(batch.len());
-        for admitted in batch {
-            self.note_removed(admitted.stamp.ticket);
-            let ticket = admitted.stamp.ticket;
-            stamps.push((admitted.stamp, admitted.dispatched));
-            requests.push(admitted.payload.with_ticket(ticket));
-        }
-        self.push_queued_load();
-        self.journal_dispatch(&stamps);
-        // Hedging and refusal-synthesis need the request after the fleet
-        // consumed it.
-        let copies: Vec<ServeRequest> = requests.clone();
-        let mut attempt = self.fleet.serve_batch_attempt(requests);
+        let borrowed: Vec<&ServeRequest> = requests.iter().collect();
+        let mut attempt = self.fleet.scatter_gather(&borrowed, None);
         // Span id of each slot's latest attempt, so retries and hedges can
         // carry a follows-from link to the attempt they supersede.
-        let mut attempt_spans: Vec<Option<SpanId>> = vec![None; copies.len()];
+        let mut attempt_spans: Vec<Option<SpanId>> = vec![None; requests.len()];
         if self.fleet.telemetry().is_enabled() {
             let end = self.fleet.clock.now();
             for (slot, (stamp, dispatched)) in stamps.iter().enumerate() {
@@ -753,9 +696,9 @@ impl FrontDoor {
             };
             let round_start = self.fleet.clock.now();
             self.fleet.clock.advance(backoff.saturating_add(jitter));
-            let (slots, retry_requests): (Vec<usize>, Vec<ServeRequest>) =
-                failed.into_iter().unzip();
-            let retry = self.fleet.serve_batch_attempt(retry_requests);
+            let slots = failed;
+            let stranded: Vec<&ServeRequest> = slots.iter().map(|&slot| &requests[slot]).collect();
+            let retry = self.fleet.scatter_gather(&stranded, None);
             for (j, (response, shard)) in retry.responses.into_iter().zip(retry.shards).enumerate()
             {
                 if let Some(response) = response {
@@ -763,11 +706,7 @@ impl FrontDoor {
                     attempt.shards[slots[j]] = shard;
                 }
             }
-            failed = retry
-                .failed
-                .into_iter()
-                .map(|(j, request)| (slots[j], request))
-                .collect();
+            failed = retry.failed.into_iter().map(|j| slots[j]).collect();
             if self.fleet.telemetry().is_enabled() {
                 let end = self.fleet.clock.now();
                 for &slot in &slots {
@@ -804,110 +743,17 @@ impl FrontDoor {
                     .metrics_mut()
                     .add("recovery.retries_exhausted", n);
             }
-            for (slot, request) in failed {
-                attempt.responses[slot] = Some(self.refusal_for(&request));
+            for slot in failed {
+                attempt.responses[slot] = Some(self.refusal_for(&requests[slot]));
             }
         }
-        if cfg.serve_timeout.is_some() || cfg.hedge_threshold.is_some() {
-            self.timeout_and_hedge(&cfg, &mut attempt, &copies, &stamps, &mut attempt_spans);
-        }
-        if self.fire_due_control_crash() {
-            // Retries, backoffs or hedges carried the clock past a
-            // scheduled crash: the batch dies un-released (no Complete
-            // records), and recovery re-queues it from the journal — or
-            // loses it without one.
-            if self.journal.is_none() {
-                self.fleet.recovery_mut().acked_lost += stamps.len() as u64;
-            }
-            return Ok(Vec::new());
-        }
-        self.update_ladder();
-        let completed = self.fleet.clock.now();
-        let streaming = !self.streaming_suspended();
-        let mut responses = Vec::with_capacity(attempt.responses.len());
-        for (slot, maybe) in attempt.responses.into_iter().enumerate() {
-            responses.push(match maybe {
-                Some(response) => response,
-                // Unreachable (every slot is served, retried into, or
-                // refused above); a refusal keeps the path panic-free.
-                None => self.refusal_for(&copies[slot]),
-            });
-        }
-        for ((stamp, dispatched), response) in stamps.iter().zip(responses.iter_mut()) {
-            let wait = dispatched.duration_since(stamp.arrival);
-            response.latency.queue = response.latency.queue.saturating_add(wait);
-            let ttft = response.latency.time_to_first_token;
-            if streaming && ttft > SimDuration::ZERO {
-                self.controller.record_ttft(wait.saturating_add(ttft));
-            }
-            let achieved = if self.ttft_deadlines && streaming && ttft > SimDuration::ZERO {
-                dispatched.saturating_add(ttft)
-            } else {
-                completed
-            };
-            self.controller.record_served(stamp, achieved);
-            // Ticket idempotency: a ticket completes toward the caller at
-            // most once. The insert returning false would mean a second
-            // completion slipped through — counted, asserted zero by the
-            // e19 bench and the chaos proptests.
-            if !self.completed_tickets.insert(stamp.ticket.raw()) {
-                self.fleet.recovery_mut().double_serves += 1;
-            }
-            // Session-order witness: within a session, delivery order must
-            // follow arrival order, whatever re-queueing and hedging did.
-            let session = response.session.raw();
-            match self.session_progress.get(&session) {
-                Some(&last) if stamp.arrival < last => {
-                    self.fleet.recovery_mut().session_reorderings += 1;
-                }
-                _ => {
-                    self.session_progress.insert(session, stamp.arrival);
-                }
-            }
-            self.journal_complete(stamp, response);
-            self.telemetry_settle(
-                stamp,
-                *dispatched,
-                completed,
-                achieved,
-                response.outcome,
-                false,
-            );
-        }
-        Ok(responses)
-    }
-
-    /// Re-dispatches straggling responses: past the serve timeout the
-    /// original is considered failed and unconditionally replaced by a
-    /// re-serve on the hedge shard; past the (smaller) hedge threshold the
-    /// faster of the two completions wins. Either way exactly one
-    /// completion reaches the caller — the loser is suppressed.
-    fn timeout_and_hedge(
-        &mut self,
-        cfg: &RecoveryConfig,
-        attempt: &mut BatchAttempt,
-        copies: &[ServeRequest],
-        stamps: &[(EntryStamp, SimInstant)],
-        attempt_spans: &mut [Option<SpanId>],
-    ) {
-        for (slot, copy) in copies.iter().enumerate() {
-            let Some(primary) = attempt.shards[slot] else {
-                continue;
-            };
-            let Some(current) = attempt.responses[slot].as_ref() else {
-                continue;
-            };
-            if !current.delivered() {
-                // Refusals and escalations are verdicts, not stragglers.
-                continue;
-            }
-            let latency = current.latency.total();
-            let timed_out = cfg.serve_timeout.is_some_and(|t| latency > t);
-            let hedge = !timed_out && cfg.hedge_threshold.is_some_and(|t| latency > t);
-            if !timed_out && !hedge {
-                continue;
-            }
-            let Some(target) = self.fleet.hedge_target(primary) else {
+        // Re-dispatch stragglers: past the serve timeout the original is
+        // considered failed and unconditionally replaced by a re-serve on
+        // the hedge shard; past the (smaller) hedge threshold the faster
+        // of the two completions wins. Either way exactly one completion
+        // reaches the caller — the loser is suppressed.
+        for (slot, request) in requests.iter().enumerate() {
+            let Some((target, timed_out, latency)) = self.straggler(&cfg, &attempt, slot) else {
                 continue;
             };
             {
@@ -919,17 +765,17 @@ impl FrontDoor {
                 }
             }
             let hedge_start = self.fleet.clock.now();
-            let Ok(mut second) = self.fleet.serve_on_shard(target, vec![copy.clone()]) else {
-                continue;
-            };
-            let Some(second) = second.pop() else {
+            // A hedge is a one-request plan pinned to the target shard,
+            // through the same driver as every other serve.
+            let mut hedged = self.fleet.scatter_gather(&[request], Some(target));
+            let Some(second) = hedged.responses.pop().flatten() else {
                 continue;
             };
             let faster = second.latency.total() < latency;
             let recovery = self.fleet.recovery_mut();
             recovery.duplicates_suppressed += 1;
             if timed_out || faster {
-                if hedge && faster {
+                if !timed_out {
                     recovery.hedges_won += 1;
                 }
                 attempt.responses[slot] = Some(second);
@@ -969,6 +815,94 @@ impl FrontDoor {
                 });
             }
         }
+        if self.fire_due_control_crash() {
+            // The crash landed while the batch was in flight (or retries,
+            // backoffs or hedges carried the clock past it): the batch
+            // dies un-released, with no Complete record committed, so
+            // recovery re-queued it from the journal — or, without one,
+            // lost it along with the queue.
+            if self.journal.is_none() {
+                self.fleet.recovery_mut().acked_lost += stamps.len() as u64;
+            }
+            return Vec::new();
+        }
+        self.update_ladder();
+        let completed = self.fleet.clock.now();
+        let streaming = !self.streaming_suspended();
+        let mut responses = Vec::with_capacity(attempt.responses.len());
+        for (slot, maybe) in attempt.responses.into_iter().enumerate() {
+            responses.push(match maybe {
+                Some(response) => response,
+                // Unreachable (every slot is served, retried into, or
+                // refused above); a refusal keeps the path panic-free.
+                None => self.refusal_for(&requests[slot]),
+            });
+        }
+        for ((stamp, dispatched), response) in stamps.iter().zip(responses.iter_mut()) {
+            let wait = dispatched.duration_since(stamp.arrival);
+            response.latency.queue = response.latency.queue.saturating_add(wait);
+            // The pipeline stamps time-to-first-token from batch entry;
+            // the submission-to-first-token the producer experienced adds
+            // the queue wait in front of it. Refused/never-streamed
+            // responses carry no sample.
+            let ttft = response.latency.time_to_first_token;
+            if streaming && ttft > SimDuration::ZERO {
+                self.controller.record_ttft(wait.saturating_add(ttft));
+            }
+            let achieved = if self.ttft_deadlines && streaming && ttft > SimDuration::ZERO {
+                dispatched.saturating_add(ttft)
+            } else {
+                completed
+            };
+            self.controller.record_served(stamp, achieved);
+            // The two recovery witnesses, kept only on recovery-enabled
+            // doors (so a plain door's snapshots do not grow with history).
+            if self.recovery.is_some() {
+                // Ticket idempotency: a ticket completes toward the caller
+                // at most once. The insert returning false would mean a
+                // second completion slipped through — counted, asserted
+                // zero by the e19 bench and the chaos proptests.
+                if !self.completed_tickets.insert(stamp.ticket.raw()) {
+                    self.fleet.recovery_mut().double_serves += 1;
+                }
+                // Session-order witness: within a session, delivery order
+                // must follow arrival order, whatever re-queueing and
+                // hedging did.
+                let session = response.session.raw();
+                match self.session_progress.get(&session) {
+                    Some(&last) if stamp.arrival < last => {
+                        self.fleet.recovery_mut().session_reorderings += 1;
+                    }
+                    _ => {
+                        self.session_progress.insert(session, stamp.arrival);
+                    }
+                }
+            }
+            self.journal_complete(stamp, response);
+            self.telemetry_settle(stamp, *dispatched, completed, achieved, response.outcome);
+        }
+        responses
+    }
+
+    /// Whether `slot`'s response is a straggler to re-dispatch, and where:
+    /// the hedge target shard, whether the serve timeout (rather than just
+    /// the hedge threshold) was crossed, and the straggler's latency.
+    fn straggler(
+        &self,
+        cfg: &RecoveryConfig,
+        attempt: &BatchAttempt,
+        slot: usize,
+    ) -> Option<(usize, bool, SimDuration)> {
+        let primary = attempt.shards[slot]?;
+        // Refusals and escalations are verdicts, not stragglers.
+        let current = attempt.responses[slot].as_ref().filter(|r| r.delivered())?;
+        let latency = current.latency.total();
+        let timed_out = cfg.serve_timeout.is_some_and(|t| latency > t);
+        let hedge = cfg.hedge_threshold.is_some_and(|t| latency > t);
+        if !timed_out && !hedge {
+            return None;
+        }
+        Some((self.fleet.hedge_target(primary)?, timed_out, latency))
     }
 
     /// A synthesized fail-closed refusal for a request whose retry budget
@@ -1335,10 +1269,9 @@ impl FrontDoor {
     }
 
     /// Emits the door-side spans and incidents for one settled request:
-    /// the queue-wait span, the dispatch span when the caller has not
-    /// already recorded per-attempt dispatch spans (the recoverable path
-    /// has), and deadline-miss / escalation incident dumps stamped with
-    /// the WAL offset at settlement.
+    /// the queue-wait span (per-attempt dispatch spans were recorded as the
+    /// attempts ran) and deadline-miss / escalation incident dumps stamped
+    /// with the WAL offset at settlement.
     fn telemetry_settle(
         &mut self,
         stamp: &EntryStamp,
@@ -1346,7 +1279,6 @@ impl FrontDoor {
         completed: SimInstant,
         achieved: SimInstant,
         outcome: ServeOutcomeKind,
-        record_dispatch: bool,
     ) {
         if !self.fleet.telemetry().is_enabled() {
             return;
@@ -1365,16 +1297,6 @@ impl FrontDoor {
             end: dispatched,
             ..NewSpan::default()
         });
-        if record_dispatch {
-            telemetry.span(NewSpan {
-                name: "serve.dispatch",
-                ticket: Some(ticket),
-                parent: root,
-                start: dispatched,
-                end: completed,
-                ..NewSpan::default()
-            });
-        }
         telemetry.metrics_mut().incr("admission.completed");
         telemetry
             .metrics_mut()

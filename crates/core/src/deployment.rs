@@ -563,6 +563,20 @@ impl GuillotineDeployment {
         requests: Vec<ServeRequest>,
         chunk_tokens: u64,
     ) -> Result<Vec<StreamedResponse>> {
+        let borrowed: Vec<&ServeRequest> = requests.iter().collect();
+        self.serve_batch_streaming_borrowed(&borrowed, chunk_tokens)
+    }
+
+    /// [`GuillotineDeployment::serve_batch_streaming_with_chunk`] over
+    /// borrowed requests. The pipeline only ever reads its requests, so the
+    /// fleet driver serves straight out of the batch its caller owns: a
+    /// stranded sub-batch is still there to retry, with nothing cloned and
+    /// nothing handed back.
+    pub(crate) fn serve_batch_streaming_borrowed(
+        &mut self,
+        requests: &[&ServeRequest],
+        chunk_tokens: u64,
+    ) -> Result<Vec<StreamedResponse>> {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
@@ -589,7 +603,7 @@ impl GuillotineDeployment {
             // Refused at admission: the stream never opened, so it ends
             // `Completed` (severing is reserved for streams cut mid-batch).
             return Ok(requests
-                .into_iter()
+                .iter()
                 .map(|request| StreamedResponse {
                     chunks: Vec::new(),
                     end: StreamEnd::Completed,
@@ -953,7 +967,7 @@ impl GuillotineDeployment {
             stream_chunks[stream.slot] = stream.chunks;
         }
         Ok(requests
-            .into_iter()
+            .iter()
             .zip(slots)
             .enumerate()
             .map(|(idx, (request, slot))| {

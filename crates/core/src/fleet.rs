@@ -37,20 +37,29 @@
 //! re-home penalty (`rehomed_hit_rate`), and the `e16_kv_cache` bench
 //! measures it alongside the ≥2x session-replay speedup.
 //!
-//! # Simulated fleet time
+//! # One driver, simulated fleet time
+//!
+//! Every fleet serve — a plain [`GuillotineFleet::serve_batch`], a
+//! front-door dispatch, a retry round, a hedge — runs through one
+//! scatter/gather driver, so the fail-closed rules (a crashed shard serves
+//! nothing, scheduled crashes lose their in-flight sub-batch, a recovered
+//! shard burns its probation down, a slowed shard stretches its latencies)
+//! hold on every path by construction. The driver borrows its batch: a
+//! stranded request is reported by submission index and is still with the
+//! caller to retry.
 //!
 //! Shards are independent machines that serve their sub-batches
 //! concurrently in the real world, so the fleet's clock advances per batch
-//! by the *maximum* of the shard clock deltas, not their sum. The
-//! `e14_fleet_throughput` bench uses that clock to report deterministic
-//! throughput scaling; [`GuillotineFleet::serve_batch_parallel`] additionally
-//! spreads the shard work across OS threads for wall-clock gains on
-//! multi-core hosts.
+//! by the *maximum* of the shard clock deltas, not their sum — the clock
+//! the `e14_fleet_throughput` bench reads for its deterministic throughput
+//! scaling. In wall-clock the driver visits shards one after another;
+//! worker threads belong *behind* this driver, not beside it.
 
 use crate::builder::DeploymentBuilder;
 use crate::deployment::{DeploymentConfig, GuillotineDeployment};
 use crate::report::Table;
 use crate::serve::{ServeOutcomeKind, ServeRequest, ServeResponse};
+use crate::streaming::DEFAULT_CHUNK_TOKENS;
 use guillotine_admit::AdmissionStats;
 use guillotine_detect::{DetectorRegistry, InputShield, OutputSanitizer};
 use guillotine_model::{KvCacheConfig, KvTier, KvTierStats};
@@ -61,8 +70,9 @@ use guillotine_types::{
 };
 use std::sync::Arc;
 
-// Shards cross thread boundaries in `serve_batch_parallel`; keep the whole
-// deployment `Send` (detector and device trait objects carry the bound).
+// Shards are meant to move onto per-shard worker threads behind the serve
+// driver; keep the whole deployment `Send` (detector and device trait
+// objects carry the bound).
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<GuillotineDeployment>();
@@ -545,27 +555,30 @@ struct Shard {
     /// once).
     probation: u32,
     /// Serving-latency multiplier (1 = healthy). Set by the chaos engine's
-    /// slowdown fault; the attempt driver stretches the shard's clock and
+    /// slowdown fault; the serve driver stretches the shard's clock and
     /// response latencies by it.
     slow_factor: u32,
     routed: u64,
     outcomes: OutcomeHistogram,
 }
 
-/// The result of one fault-tolerant fleet batch
+/// The result of one fleet batch
 /// ([`GuillotineFleet::serve_batch_attempt`]): per-request responses where
-/// serving succeeded, plus the requests a crash or error stranded — handed
-/// back instead of lost, so the admission tier can re-queue them.
+/// serving succeeded, plus which requests a crash or error stranded — the
+/// caller still owns the batch, so it can re-queue or retry them.
 #[derive(Debug)]
 pub struct BatchAttempt {
     /// One slot per submitted request, in submission order; `None` where
-    /// the request failed (its entry is in `failed`).
+    /// the request failed (its index is in `failed`).
     pub responses: Vec<Option<ServeResponse>>,
     /// The shard that served each successful slot (`None` for failed).
     pub shards: Vec<Option<usize>>,
-    /// `(submission index, request)` for every stranded request, sorted by
-    /// submission index — session-prefix order within each session.
-    pub failed: Vec<(usize, ServeRequest)>,
+    /// Submission index of every stranded request, ascending —
+    /// session-prefix order within each session.
+    pub failed: Vec<usize>,
+    /// The first hard serving error a shard returned, if any (its
+    /// sub-batch is in `failed`).
+    pub error: Option<GuillotineError>,
 }
 
 /// A declarative builder for [`GuillotineFleet`].
@@ -686,7 +699,7 @@ pub struct GuillotineFleet {
     rehomed_kv_misses: u64,
     /// Crashes scheduled by the chaos engine: `(shard, fires_at)` on the
     /// fleet clock. A crash firing inside a shard's serving window loses
-    /// that shard's in-flight sub-batch (the attempt driver re-queues it).
+    /// that shard's in-flight sub-batch (the serve driver strands it).
     pending_crashes: Vec<(usize, SimInstant)>,
     /// Per-shard crash start instants, for MTTR sampling.
     crash_since: Vec<Option<SimInstant>>,
@@ -983,8 +996,9 @@ impl GuillotineFleet {
 
     /// Schedules a crash of shard `index` at fleet-clock instant `at`. A
     /// crash firing inside the shard's serving window loses the in-flight
-    /// sub-batch: [`GuillotineFleet::serve_batch_attempt`] reports those
-    /// requests as failed (in submission order) for re-queueing.
+    /// sub-batch on every serve path: [`GuillotineFleet::serve_batch_attempt`]
+    /// reports those requests as failed (in submission order) for
+    /// re-queueing, and [`GuillotineFleet::serve_batch`] returns `Err`.
     pub fn schedule_crash(&mut self, index: usize, at: SimInstant) {
         if at <= self.clock.now() {
             self.crash_now(index, at);
@@ -1067,9 +1081,9 @@ impl GuillotineFleet {
     }
 
     /// Sets a serving-latency multiplier on a shard (slowdown/hang chaos
-    /// fault; `factor == 0` is treated as 1). Only the attempt driver
-    /// ([`GuillotineFleet::serve_batch_attempt`], used by recovery-enabled
-    /// front doors) applies it.
+    /// fault; `factor == 0` is treated as 1). Every serve on the shard —
+    /// plain batches, front-door dispatches, retries and hedges alike —
+    /// has its serving time and response latencies stretched by it.
     pub fn set_slowdown(&mut self, index: usize, factor: u32) {
         self.shards[index].slow_factor = factor.max(1);
     }
@@ -1232,13 +1246,21 @@ impl GuillotineFleet {
         }
     }
 
-    /// Routes every request and groups the batch into per-shard sub-batches
-    /// of request indices, plus the per-request re-homed flags.
-    fn plan_batch(&mut self, requests: &[ServeRequest]) -> (Vec<Vec<usize>>, Vec<bool>) {
+    /// Routes every request — or, for a hedge, pins the whole batch to one
+    /// shard — and groups the batch into per-shard sub-batches of request
+    /// indices, plus the per-request re-homed flags.
+    fn plan_batch(
+        &mut self,
+        requests: &[&ServeRequest],
+        pin: Option<usize>,
+    ) -> (Vec<Vec<usize>>, Vec<bool>) {
         let mut sub_batches: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         let mut rehomed = Vec::with_capacity(requests.len());
         for (idx, request) in requests.iter().enumerate() {
-            let (shard, was_rehomed) = self.route(request);
+            let (shard, was_rehomed) = match pin {
+                Some(target) => (target, false),
+                None => self.route(request),
+            };
             self.shards[shard].routed += 1;
             sub_batches[shard].push(idx);
             rehomed.push(was_rehomed);
@@ -1286,7 +1308,7 @@ impl GuillotineFleet {
         &mut self,
         shard_idx: usize,
         indices: &[usize],
-        shard_responses: Vec<ServeResponse>,
+        shard_responses: impl Iterator<Item = ServeResponse>,
         out: &mut [Option<ServeResponse>],
     ) {
         let shard = &mut self.shards[shard_idx];
@@ -1383,105 +1405,6 @@ impl GuillotineFleet {
         }
     }
 
-    /// The shared scatter/gather driver behind [`GuillotineFleet::serve_batch`]
-    /// and [`GuillotineFleet::serve_batch_parallel`]: route, split into
-    /// per-shard sub-batches, hand them to `execute`, then reassemble
-    /// responses in submission order and finalize accounting. `execute`
-    /// receives one `Option<Vec<ServeRequest>>` per shard and must return
-    /// one `Option<Result<_>>` per shard; every shard serves regardless of
-    /// other shards' errors, and the first error is returned only after the
-    /// quarantine/clock bookkeeping has run for every participant.
-    fn serve_with<E>(
-        &mut self,
-        requests: Vec<ServeRequest>,
-        execute: E,
-    ) -> Result<Vec<ServeResponse>>
-    where
-        E: FnOnce(
-            &mut [Shard],
-            &mut [Option<Vec<ServeRequest>>],
-        ) -> Vec<Option<Result<Vec<ServeResponse>>>>,
-    {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.refresh_quarantine();
-        let (mut sub_batches, rehomed) = self.plan_batch(&requests);
-        let before = self.shard_clocks();
-        let fleet_entry = self.clock.now();
-        let total = requests.len();
-        let mut slots: Vec<Option<ServeRequest>> = requests.into_iter().map(Some).collect();
-        let mut batches: Vec<Option<Vec<ServeRequest>>> = sub_batches
-            .iter()
-            .map(|indices| {
-                if indices.is_empty() {
-                    None
-                } else {
-                    Some(
-                        indices
-                            .iter()
-                            // audit:allow(no-panic, plan_batch partitions 0..len into disjoint index sets, so each slot is taken exactly once)
-                            .map(|&i| slots[i].take().expect("each request routed once"))
-                            .collect(),
-                    )
-                }
-            })
-            .collect();
-        let results = execute(&mut self.shards, &mut batches);
-        let mut responses: Vec<Option<ServeResponse>> =
-            std::iter::repeat_with(|| None).take(total).collect();
-        let mut participants = Vec::new();
-        let mut first_error = None;
-        for (shard_idx, result) in results.into_iter().enumerate() {
-            let Some(result) = result else { continue };
-            participants.push(shard_idx);
-            match result {
-                Ok(shard_responses) => {
-                    let indices = std::mem::take(&mut sub_batches[shard_idx]);
-                    self.place_responses(shard_idx, &indices, shard_responses, &mut responses);
-                }
-                Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-            }
-        }
-        // Witness the re-home penalty: every re-homed response whose
-        // request actually performed a KV lookup (there is a tier, and the
-        // request reached the forward pass — refused/escalated requests
-        // never look up) either kept its cache locality through the shared
-        // tier (hit) or paid the cold-prefix cost (miss).
-        if self.kv.is_some() {
-            for (response, &was_rehomed) in responses.iter().zip(&rehomed) {
-                let Some(response) = response else { continue };
-                if !was_rehomed || response.latency.inference == SimDuration::ZERO {
-                    continue;
-                }
-                if response.kv_hit {
-                    self.rehomed_kv_hits += 1;
-                } else {
-                    self.rehomed_kv_misses += 1;
-                }
-            }
-        }
-        self.finalize_batch(&participants, &before);
-        self.collect_batch_telemetry(&participants, fleet_entry);
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        responses
-            .into_iter()
-            .map(|r| {
-                r.ok_or_else(|| {
-                    GuillotineError::runtime_assertion(
-                        "a routed request came back without a response",
-                    )
-                })
-            })
-            .collect()
-    }
-
     /// Serves a batch across the fleet: requests are routed to shards, each
     /// shard serves its sub-batch through the full screened pipeline, and
     /// responses come back in submission order, one per request.
@@ -1489,173 +1412,148 @@ impl GuillotineFleet {
     /// Containment is per-shard: an escalation on one shard short-circuits
     /// only that shard's sub-batch; afterwards the shard is quarantined and
     /// its sessions re-route to healthy shards on the next fleet batch.
-    /// Should a shard's serving error outright, the other shards still
-    /// serve; the first error is returned after the fleet's accounting has
-    /// been finalized for everything that ran.
+    /// Should a shard's serving error outright, or a crash strand its
+    /// sub-batch, the other shards still serve; the error is returned after
+    /// the fleet's accounting has been finalized for everything that ran.
+    /// Callers that want the stranded requests back instead use
+    /// [`GuillotineFleet::serve_batch_attempt`].
     pub fn serve_batch(&mut self, requests: Vec<ServeRequest>) -> Result<Vec<ServeResponse>> {
-        self.serve_with(requests, |shards, batches| {
-            shards
-                .iter_mut()
-                .zip(batches.iter_mut())
-                .map(|(shard, batch)| batch.take().map(|b| shard.deployment.serve_batch(b)))
-                .collect()
-        })
-    }
-
-    /// [`GuillotineFleet::serve_batch`], with the per-shard sub-batches
-    /// served on scoped OS threads. Shards are fully independent, so the
-    /// results (responses, escalations, clocks, error behaviour) are
-    /// identical to the serial path; on multi-core hosts the wall-clock
-    /// cost approaches the slowest shard's instead of the sum.
-    pub fn serve_batch_parallel(
-        &mut self,
-        requests: Vec<ServeRequest>,
-    ) -> Result<Vec<ServeResponse>> {
-        self.serve_with(requests, |shards, batches| {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter_mut()
-                    .zip(batches.iter_mut())
-                    .map(|(shard, batch)| {
-                        batch.take().map(|b| {
-                            let deployment = &mut shard.deployment;
-                            scope.spawn(move || deployment.serve_batch(b))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| {
-                        handle.map(|h| {
-                            h.join().unwrap_or_else(|_| {
-                                Err(GuillotineError::runtime_assertion(
-                                    "a shard serving thread panicked mid-batch",
-                                ))
-                            })
-                        })
-                    })
-                    .collect()
+        let attempt = self.serve_batch_attempt(&requests);
+        if let Some(e) = attempt.error {
+            return Err(e);
+        }
+        attempt
+            .responses
+            .into_iter()
+            .map(|response| {
+                response.ok_or_else(|| GuillotineError::NetworkError {
+                    reason: "the request's shard crashed; a crashed shard serves nothing"
+                        .to_string(),
+                })
             })
-        })
+            .collect()
     }
 
     /// Serves a batch like [`GuillotineFleet::serve_batch`], but **never
     /// loses a request to a failure**: instead of surfacing a shard error
-    /// and discarding its sub-batch, the failed requests come back in the
-    /// attempt (in submission order — session-prefix order within each
-    /// session) so the caller can re-queue or retry them. This is the
-    /// driver recovery-enabled front doors dispatch through.
+    /// and discarding its sub-batch, the attempt names the failed requests
+    /// (by submission index — session-prefix order within each session) so
+    /// the caller, who still owns the batch, can re-queue or retry them.
+    pub fn serve_batch_attempt(&mut self, requests: &[ServeRequest]) -> BatchAttempt {
+        let borrowed: Vec<&ServeRequest> = requests.iter().collect();
+        self.scatter_gather(&borrowed, None)
+    }
+
+    /// The one scatter/gather driver every fleet serve runs through. In
+    /// order: fire due scheduled crashes; re-derive quarantine flags; plan
+    /// (route, split, probation caps — or, for a hedge, `pin` the whole
+    /// batch to one shard); serve each shard's sub-batch, applying its
+    /// slowdown factor, losing the sub-batch to a crash scheduled inside
+    /// its serving window, and burning down probation; place responses in
+    /// submission order; witness re-homed KV hits; finalize quarantine and
+    /// clock; collect telemetry.
     ///
-    /// On top of the plain driver it also: fires scheduled crashes (a crash
-    /// inside a shard's serving window loses that shard's in-flight
-    /// sub-batch), applies slowdown factors to serving time and response
-    /// latencies, and burns down probation counters.
-    pub fn serve_batch_attempt(&mut self, requests: Vec<ServeRequest>) -> BatchAttempt {
+    /// A crashed shard serves nothing: requests planned onto one (routing
+    /// only lands there when every shard is down) are stranded, as is a
+    /// hedge pinned to a shard that turned out quarantined.
+    pub(crate) fn scatter_gather(
+        &mut self,
+        requests: &[&ServeRequest],
+        pin: Option<usize>,
+    ) -> BatchAttempt {
         let total = requests.len();
         let mut attempt = BatchAttempt {
             responses: std::iter::repeat_with(|| None).take(total).collect(),
             shards: vec![None; total],
             failed: Vec::new(),
+            error: None,
         };
         if total == 0 {
             return attempt;
         }
         self.apply_due_crashes();
         self.refresh_quarantine();
-        let (sub_batches, rehomed) = self.plan_batch(&requests);
+        let (sub_batches, rehomed) = self.plan_batch(requests, pin);
         let before = self.shard_clocks();
         let fleet_before = self.clock.now();
-        let mut slots: Vec<Option<ServeRequest>> = requests.into_iter().map(Some).collect();
         let mut participants = Vec::new();
-        for shard_idx in 0..self.shards.len() {
-            let indices = &sub_batches[shard_idx];
+        for (shard_idx, indices) in sub_batches.iter().enumerate() {
             if indices.is_empty() {
                 continue;
             }
-            let batch: Vec<ServeRequest> = indices
-                .iter()
-                // audit:allow(no-panic, plan_batch partitions 0..len into disjoint index sets, so each slot is taken exactly once)
-                .map(|&i| slots[i].take().expect("each request routed once"))
-                .collect();
-            if self.shards[shard_idx].crashed {
-                // Routing only lands on a crashed shard when every shard is
-                // down; the requests fail (and the retry loop will either
-                // find a recovered shard or exhaust into a refusal).
-                for (&i, request) in indices.iter().zip(batch) {
-                    attempt.failed.push((i, request));
-                }
+            let shard = &self.shards[shard_idx];
+            if shard.crashed || (pin.is_some() && shard.quarantined) {
+                attempt.failed.extend_from_slice(indices);
                 continue;
             }
-            // Keep a copy: if the shard crashes mid-serve or errors, the
-            // responses are lost and these requests must be re-queued.
-            let kept: Vec<ServeRequest> = batch.clone();
-            let result = self.shards[shard_idx].deployment.serve_batch(batch);
+            let batch: Vec<&ServeRequest> = indices.iter().map(|&i| requests[i]).collect();
+            let result = self.shards[shard_idx]
+                .deployment
+                .serve_batch_streaming_borrowed(&batch, DEFAULT_CHUNK_TOKENS);
             participants.push(shard_idx);
             let factor = u64::from(self.shards[shard_idx].slow_factor.max(1));
+            let mut delta = self.shards[shard_idx]
+                .deployment
+                .clock
+                .now()
+                .duration_since(before[shard_idx]);
             if factor > 1 {
                 // A slowed shard takes `factor`× the serving time: stretch
                 // its clock by the extra so the fleet clock (max of shard
                 // deltas) and every latency sees the slowdown.
-                let delta = self.shards[shard_idx]
-                    .deployment
-                    .clock
-                    .now()
-                    .duration_since(before[shard_idx]);
-                self.shards[shard_idx]
-                    .deployment
-                    .clock
-                    .advance(delta.saturating_mul(factor - 1));
+                let extra = delta.saturating_mul(factor - 1);
+                self.shards[shard_idx].deployment.clock.advance(extra);
+                delta = delta.saturating_add(extra);
             }
-            match result {
-                Ok(mut responses) => {
-                    if factor > 1 {
-                        for response in &mut responses {
-                            response.latency.inference =
-                                response.latency.inference.saturating_mul(factor);
-                            response.latency.time_to_first_token =
-                                response.latency.time_to_first_token.saturating_mul(factor);
-                        }
-                    }
-                    // Did a scheduled crash fire inside this shard's
-                    // serving window? Then it served — and died before
-                    // anything came back: the whole sub-batch is lost.
-                    let delta = self.shards[shard_idx]
-                        .deployment
-                        .clock
-                        .now()
-                        .duration_since(before[shard_idx]);
-                    let window_end = fleet_before.saturating_add(delta);
-                    let mid_crash = self
-                        .pending_crashes
-                        .iter()
-                        .position(|&(s, at)| s == shard_idx && at <= window_end);
-                    if let Some(pos) = mid_crash {
-                        let (_, at) = self.pending_crashes.remove(pos);
-                        self.crash_now(shard_idx, at);
-                        self.recovery.requeued_in_flight += kept.len() as u64;
-                        for (&i, request) in indices.iter().zip(kept) {
-                            attempt.failed.push((i, request));
-                        }
-                    } else {
-                        if self.shards[shard_idx].probation > 0 {
-                            self.shards[shard_idx].probation -= 1;
-                            self.recovery.probation_batches += 1;
-                        }
-                        self.place_responses(shard_idx, indices, responses, &mut attempt.responses);
-                        for &i in indices {
-                            attempt.shards[i] = Some(shard_idx);
-                        }
-                    }
-                }
-                Err(_) => {
+            let streamed = match result {
+                Ok(streamed) => streamed,
+                Err(e) => {
                     // A hard serving error: the sub-batch is stranded, not
-                    // lost — hand it back for retry on another shard.
-                    for (&i, request) in indices.iter().zip(kept) {
-                        attempt.failed.push((i, request));
-                    }
+                    // lost — the caller can retry it on another shard.
+                    attempt.failed.extend_from_slice(indices);
+                    attempt.error.get_or_insert(e);
+                    continue;
                 }
+            };
+            // Did a scheduled crash fire inside this shard's serving
+            // window? Then it served — and died before anything came back:
+            // the whole sub-batch is lost.
+            let window_end = fleet_before.saturating_add(delta);
+            let mid_crash = self
+                .pending_crashes
+                .iter()
+                .position(|&(s, at)| s == shard_idx && at <= window_end);
+            if let Some(pos) = mid_crash {
+                let (_, at) = self.pending_crashes.remove(pos);
+                self.crash_now(shard_idx, at);
+                self.recovery.requeued_in_flight += indices.len() as u64;
+                attempt.failed.extend_from_slice(indices);
+                continue;
+            }
+            if self.shards[shard_idx].probation > 0 {
+                self.shards[shard_idx].probation -= 1;
+                self.recovery.probation_batches += 1;
+            }
+            let responses = streamed.into_iter().map(|streamed| {
+                let mut response = streamed.response;
+                if factor > 1 {
+                    let latency = &mut response.latency;
+                    latency.inference = latency.inference.saturating_mul(factor);
+                    latency.time_to_first_token =
+                        latency.time_to_first_token.saturating_mul(factor);
+                }
+                response
+            });
+            self.place_responses(shard_idx, indices, responses, &mut attempt.responses);
+            for &i in indices {
+                attempt.shards[i] = Some(shard_idx);
             }
         }
+        // Witness the re-home penalty: every re-homed response whose
+        // request actually performed a KV lookup (there is a tier, and the
+        // request reached the forward pass — refused/escalated requests
+        // never look up) either kept its cache locality through the shared
+        // tier (hit) or paid the cold-prefix cost (miss).
         if self.kv.is_some() {
             for (response, &was_rehomed) in attempt.responses.iter().zip(&rehomed) {
                 let Some(response) = response else { continue };
@@ -1671,49 +1569,14 @@ impl GuillotineFleet {
         }
         self.finalize_batch(&participants, &before);
         self.collect_batch_telemetry(&participants, fleet_before);
-        attempt.failed.sort_by_key(|&(i, _)| i);
+        attempt.failed.sort_unstable();
         attempt
     }
 
-    /// Serves a small batch directly on one named healthy shard — the
-    /// hedged re-dispatch path. Errors if the target is quarantined or
-    /// crashed; the fleet clock advances by the shard's serving delta as
-    /// usual.
-    pub fn serve_on_shard(
-        &mut self,
-        index: usize,
-        requests: Vec<ServeRequest>,
-    ) -> Result<Vec<ServeResponse>> {
-        if index >= self.shards.len() {
-            return Err(GuillotineError::config("hedge target shard out of range"));
-        }
-        if self.shards[index].quarantined || self.shards[index].crashed {
-            return Err(GuillotineError::config(
-                "hedge target shard is quarantined or crashed",
-            ));
-        }
-        let before = self.shard_clocks();
-        let fleet_entry = self.clock.now();
-        self.shards[index].routed += requests.len() as u64;
-        let result = self.shards[index].deployment.serve_batch(requests);
-        let outcome = match result {
-            Ok(responses) => {
-                for response in &responses {
-                    self.shards[index].outcomes.record(response.outcome);
-                }
-                Ok(responses)
-            }
-            Err(e) => Err(e),
-        };
-        self.finalize_batch(&[index], &before);
-        self.collect_batch_telemetry(&[index], fleet_entry);
-        outcome
-    }
-
-    /// The shard a hedged re-dispatch should target: the least-routed
-    /// healthy, non-probation shard other than `exclude` (`None` when no
-    /// such shard exists — hedging is pointless on a one-healthy-shard
-    /// fleet).
+    /// The shard a hedged re-dispatch should pin its one-request plan to:
+    /// the least-routed healthy, non-probation shard other than `exclude`
+    /// (`None` when no such shard exists — hedging is pointless on a
+    /// one-healthy-shard fleet).
     pub fn hedge_target(&self, exclude: usize) -> Option<usize> {
         self.shards
             .iter()
@@ -1913,16 +1776,5 @@ mod tests {
             .max()
             .unwrap();
         assert_eq!(fleet_elapsed.as_nanos(), shard_max);
-    }
-
-    #[test]
-    fn parallel_and_serial_serving_agree() {
-        let requests: Vec<ServeRequest> = (0..16).map(benign).collect();
-        let mut serial = GuillotineFleet::builder().with_shards(4).build().unwrap();
-        let mut parallel = GuillotineFleet::builder().with_shards(4).build().unwrap();
-        let a = serial.serve_batch(requests.clone()).unwrap();
-        let b = parallel.serve_batch_parallel(requests).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(serial.stats(), parallel.stats());
     }
 }

@@ -391,7 +391,7 @@ impl KvCache {
 }
 
 /// The fleet-shared KV tier: one [`KvCache`] behind a mutex, shared across
-/// shards (and threads, for `serve_batch_parallel`) behind an `Arc`.
+/// shards (and the threads that serve them) behind an `Arc`.
 #[derive(Debug)]
 pub struct KvTier {
     inner: Mutex<KvCache>,

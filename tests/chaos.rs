@@ -10,8 +10,8 @@ use guillotine::chaos::{ChaosDoor, FaultKind, FaultPlan};
 use guillotine::fleet::GuillotineFleet;
 use guillotine::fleet_quorum::FleetConsole;
 use guillotine::recovery::{DegradationMode, RecoveryConfig};
-use guillotine::serve::{ServePriority, ServeRequest};
-use guillotine::{AdmissionDecision, DeadlinePolicy, KvCacheConfig, ShedPolicy};
+use guillotine::serve::{ServePriority, ServeRequest, ServeResponse};
+use guillotine::{AdmissionDecision, DeadlinePolicy, KvCacheConfig, ShedPolicy, TelemetryConfig};
 use guillotine_physical::IsolationLevel;
 use guillotine_types::{SessionId, SimDuration, SimInstant};
 use proptest::prelude::*;
@@ -141,7 +141,7 @@ fn recovered_shard_rejoins_through_cold_probation() {
     // overflow traffic away from the probation shard.
     for round in 0..3 {
         let batch: Vec<ServeRequest> = (0..6).map(|i| benign(round * 6 + i, i)).collect();
-        let attempt = f.serve_batch_attempt(batch);
+        let attempt = f.serve_batch_attempt(&batch);
         assert!(attempt.failed.is_empty());
     }
     assert!(!f.in_probation(1));
@@ -181,6 +181,67 @@ fn hedging_beats_a_slowed_shard() {
     assert!(stats.recovery.hedges_won > 0);
     assert_eq!(stats.recovery.duplicates_suppressed, stats.recovery.hedges);
     assert_eq!(stats.recovery.double_serves, 0);
+}
+
+/// The `hedging_beats_a_slowed_shard` scenario with telemetry on: shard 0
+/// slowed 16x, shard 1 (every hedge's target) slowed by `target_factor`.
+fn slowed_hedging_run(target_factor: u32) -> (FrontDoor, Vec<ServeResponse>) {
+    let mut probe = door_with(2, RecoveryConfig::disabled());
+    probe.submit(benign(0, 0));
+    let baseline = probe.drain().unwrap()[0].latency.total();
+    let config = RecoveryConfig {
+        hedge_threshold: Some(baseline.saturating_mul(2)),
+        ..RecoveryConfig::default()
+    };
+    let mut door = door_with(2, config).with_telemetry(TelemetryConfig::full());
+    door.fleet_mut().set_slowdown(0, 16);
+    door.fleet_mut().set_slowdown(1, target_factor);
+    for i in 0..12 {
+        assert!(door.submit(benign(i, i)).admitted());
+    }
+    let responses = door.drain().unwrap();
+    assert!(door.stats().recovery.hedges_won > 0);
+    (door, responses)
+}
+
+/// A hedge is a pinned plan through the fleet's one serve driver, so its
+/// response is accounted like any other: the registry's outcome counters
+/// and the per-shard histograms agree, hedges included.
+#[test]
+fn hedged_serves_reach_the_metrics_registry() {
+    let (door, _) = slowed_hedging_run(1);
+    let merged = door.fleet().telemetry().merged_metrics();
+    let counted: u64 = ["delivered", "sanitized", "refused", "escalated"]
+        .iter()
+        .map(|outcome| merged.counter_value(&format!("outcome.{outcome}")))
+        .sum();
+    assert_eq!(counted, door.stats().outcomes().total());
+}
+
+/// ...and the hedge target's slowdown factor applies to the hedge: the
+/// same run with the target slowed 2x delivers the winning hedges with
+/// exactly doubled serving latencies.
+#[test]
+fn a_slowed_hedge_target_stretches_the_hedged_latencies() {
+    let (door, healthy) = slowed_hedging_run(1);
+    let (_, slowed) = slowed_hedging_run(2);
+    let mut hedged = 0;
+    for (fast, slow) in healthy.iter().zip(&slowed) {
+        // Sessions homed on the 16x shard were all hedged onto shard 1.
+        if door.fleet().home_shard(fast.session) != 0 {
+            continue;
+        }
+        hedged += 1;
+        assert_eq!(
+            slow.latency.inference,
+            fast.latency.inference.saturating_mul(2)
+        );
+        assert_eq!(
+            slow.latency.time_to_first_token,
+            fast.latency.time_to_first_token.saturating_mul(2)
+        );
+    }
+    assert!(hedged > 0);
 }
 
 /// The graceful-degradation ladder: losing half the fleet sheds

@@ -2,6 +2,7 @@
 //! containment, quarantine re-routing, routing determinism, and the
 //! fail-closed behaviour of a fully quarantined fleet.
 
+use guillotine::admission::FrontDoor;
 use guillotine::fleet::{GuillotineFleet, RoutingPolicy};
 use guillotine::serve::{ServeOutcomeKind, ServePriority, ServeRequest, ServeStage};
 use guillotine_physical::IsolationLevel;
@@ -196,6 +197,67 @@ fn out_of_band_severing_is_detected_at_the_next_batch() {
     assert_eq!(responses[0].outcome, ServeOutcomeKind::Delivered);
     assert!(fleet.is_quarantined(home));
     assert!(fleet.requeued() > 0);
+}
+
+// ---------------------------------------------------------------------
+// One serve driver: crashes and probation hold on the plain path too.
+// ---------------------------------------------------------------------
+
+fn wave(n: u32) -> Vec<ServeRequest> {
+    (0..n)
+        .map(|i| ServeRequest::new(format!("Summarize item {i}.")).with_session(SessionId::new(i)))
+        .collect()
+}
+
+#[test]
+fn a_fully_crashed_fleet_serves_nothing_on_any_path() {
+    for shards in [1usize, 2] {
+        let crashed = || {
+            let mut fleet = fleet(shards);
+            for shard in 0..shards {
+                fleet.inject_crash(shard);
+            }
+            fleet
+        };
+        // Direct: the batch errors, nothing is delivered, no shard launches.
+        let mut fleet = crashed();
+        assert!(fleet.serve_batch(wave(4)).is_err());
+        let stats = fleet.stats();
+        assert_eq!(stats.forward_launches(), 0);
+        assert_eq!(stats.outcomes().total(), 0);
+
+        // Through a recovery-off door: every ticket is answered, refused.
+        let mut door = FrontDoor::deadline_aware(crashed());
+        for request in wave(4) {
+            assert!(door.submit(request).admitted());
+        }
+        let responses = door.drain().unwrap();
+        assert_eq!(responses.len(), 4);
+        for response in &responses {
+            assert_eq!(response.outcome, ServeOutcomeKind::Refused);
+        }
+        assert_eq!(door.stats().forward_launches(), 0);
+    }
+}
+
+#[test]
+fn plain_serve_batch_burns_probation_down() {
+    let batches = 2;
+    let mut fleet = GuillotineFleet::builder()
+        .with_shards(2)
+        .with_probation(batches, 1)
+        .build()
+        .unwrap();
+    fleet.inject_crash(1);
+    assert!(fleet.recover_shard(1));
+    assert!(fleet.in_probation(1));
+    for _ in 0..batches {
+        let responses = fleet.serve_batch(wave(8)).unwrap();
+        assert!(responses.iter().all(|r| r.delivered()));
+    }
+    assert!(fleet.stats().shards[1].routed > 0);
+    assert!(!fleet.in_probation(1));
+    assert!(fleet.recovery_stats().probation_batches > 0);
 }
 
 // ---------------------------------------------------------------------
