@@ -25,8 +25,14 @@
 //!   reference implementation benchmarks compare against, is exempt.)
 //! * **`no-string-alloc`** — no fresh `String` allocation
 //!   (`String::new/from`, `to_string`, `to_owned`, `format!`) in the scan
-//!   engine proper (`crates/scan/src/lib.rs`); scans must stay
-//!   zero-allocation beyond the caller's result collection.
+//!   engine proper (`crates/scan/src/lib.rs`) — scans must stay
+//!   zero-allocation beyond the caller's result collection — nor in the
+//!   journal's write path (`crates/journal/src/{wal,snapshot,ticket_set,
+//!   store}.rs`): every WAL record and snapshot is encoded by
+//!   `encode_into` / `frame_into` into one reused buffer, and a temporary
+//!   `String` per field is what made journaling the most expensive layer
+//!   of a request. (The snapshot-chain artifact dump in `store.rs` is the
+//!   reviewed exception.)
 //!
 //! # The `audit:allow` escape
 //!
@@ -58,6 +64,15 @@ const SERVE_PATH: [&str; 9] = [
     "crates/telemetry/src/span.rs",
     "crates/telemetry/src/registry.rs",
     "crates/telemetry/src/recorder.rs",
+];
+
+/// The journal modules on the WAL-append / snapshot path, held to
+/// `no-string-alloc`: they encode into one caller-owned buffer.
+const JOURNAL_WRITE_PATH: [&str; 4] = [
+    "crates/journal/src/wal.rs",
+    "crates/journal/src/snapshot.rs",
+    "crates/journal/src/ticket_set.rs",
+    "crates/journal/src/store.rs",
 ];
 
 /// One honoured suppression: `(file:line, rule)`.
@@ -350,8 +365,9 @@ const RULES: [Rule; 3] = [
             ".to_owned(",
             "format!",
         ],
-        advice: "the scan engine is zero-allocation; collect into the caller's buffers",
-        applies: |rel| rel == "crates/scan/src/lib.rs",
+        advice: "scans and journal encoding write into the caller's buffers; \
+                 no fresh String per call",
+        applies: |rel| rel == "crates/scan/src/lib.rs" || JOURNAL_WRITE_PATH.contains(&rel),
     },
 ];
 
@@ -553,6 +569,26 @@ fn f() -> usize {
             .findings
             .is_empty());
         assert!(lint_source("crates/core/src/report.rs", source)
+            .findings
+            .is_empty());
+    }
+
+    #[test]
+    fn string_alloc_rule_covers_the_scan_engine_and_the_journal_write_path() {
+        let source = "fn f(n: u32) -> String {\n    format!(\"{n}\")\n}\n";
+        for rel in [
+            "crates/scan/src/lib.rs",
+            "crates/journal/src/wal.rs",
+            "crates/journal/src/snapshot.rs",
+            "crates/journal/src/ticket_set.rs",
+            "crates/journal/src/store.rs",
+        ] {
+            let outcome = lint_source(rel, source);
+            assert_eq!(outcome.findings.len(), 1, "{rel}");
+            assert_eq!(outcome.findings[0].category, "no-string-alloc");
+        }
+        // Replay runs once per crash, not once per request.
+        assert!(lint_source("crates/journal/src/replay.rs", source)
             .findings
             .is_empty());
     }

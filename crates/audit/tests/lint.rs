@@ -43,10 +43,12 @@ fn working_tree_is_lint_clean() {
 }
 
 /// The known, reviewed suppressions: the compile-time Unicode case-variant
-/// expansion, and nothing on the serve path (the fleet's one batch driver
-/// borrows its requests, so there is no slot to take). If this list grows, the
-/// new entry was either justified in review or someone is bypassing the
-/// gate — either way it should show up in a test diff.
+/// expansion, the journal store's CI artifact dump (`dump_snapshots` — it
+/// builds a `String` to hand to a file writer, off the append/snapshot
+/// path), and nothing on the serve path (the fleet's
+/// one batch driver borrows its requests, so there is no slot to take). If
+/// this list grows, the new entry was either justified in review or someone
+/// is bypassing the gate — either way it should show up in a test diff.
 #[test]
 fn suppression_inventory_is_exactly_the_reviewed_set() {
     let outcome = lint_repo(repo_root()).expect("source tree walk");
@@ -54,7 +56,7 @@ fn suppression_inventory_is_exactly_the_reviewed_set() {
     rules.sort_unstable();
     assert_eq!(
         rules,
-        ["no-case-alloc", "no-case-alloc"],
+        ["no-case-alloc", "no-case-alloc", "no-string-alloc"],
         "allows: {:?}",
         outcome.allows
     );

@@ -53,12 +53,17 @@ const HORIZON: SimDuration = SimDuration::from_millis(160);
 const FINE_INTERVAL: SimDuration = SimDuration::from_millis(1);
 const COARSE_INTERVAL: SimDuration = SimDuration::from_millis(50);
 
+/// Slack for the history-independence bar: the counters and instants in
+/// a snapshot gain digits as a run goes on; the idempotency set must not.
+const SNAPSHOT_GROWTH_SLACK_BYTES: u64 = 128;
+
 fn requests() -> u32 {
     BURSTS * BURST_SIZE
 }
 
-fn trace() -> Vec<TimedArrival> {
-    (0..BURSTS)
+/// The first `bursts` waves of the arrival trace.
+fn trace(bursts: u32) -> Vec<TimedArrival> {
+    (0..bursts)
         .flat_map(|burst| {
             (0..BURST_SIZE).map(move |j| {
                 let i = burst * BURST_SIZE + j;
@@ -126,6 +131,11 @@ struct Outcome {
     double_serves: u64,
     session_reorderings: u64,
     replay_downtime: SimDuration,
+    /// Size of the newest snapshot at the end of the run.
+    snapshot_bytes_last: u64,
+    /// Host wall time of one `JournalStore::recover` on the final store
+    /// (fastest of several).
+    recover_host: std::time::Duration,
     wal_dump: Option<String>,
     snapshot_dump: Option<String>,
 }
@@ -141,12 +151,29 @@ impl Outcome {
 }
 
 fn run(journal: Option<JournalConfig>) -> Outcome {
+    run_bursts(journal, BURSTS)
+}
+
+fn run_bursts(journal: Option<JournalConfig>, bursts: u32) -> Outcome {
     let plan = FaultPlan::seeded_durability(SEED, SHARDS, HORIZON);
     let mut chaos = ChaosDoor::new(door(journal), plan);
-    let (decisions, responses) = chaos.play(trace()).unwrap();
+    let (decisions, responses) = chaos.play(trace(bursts)).unwrap();
     let (door, _trace) = chaos.into_parts();
     let stats = door.stats();
     let recovery = &stats.recovery;
+    let store = door.journal_store();
+    let recover_host = store
+        .map(|store| {
+            (0..16)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    std::hint::black_box(store.recover());
+                    start.elapsed()
+                })
+                .min()
+                .unwrap_or_default()
+        })
+        .unwrap_or_default();
     Outcome {
         admitted: decisions.iter().filter(|d| d.admitted()).count() as u64,
         answered: responses.len() as u64,
@@ -160,8 +187,12 @@ fn run(journal: Option<JournalConfig>) -> Outcome {
         double_serves: recovery.double_serves,
         session_reorderings: recovery.session_reorderings,
         replay_downtime: recovery.replay_time,
-        wal_dump: door.journal_store().map(|store| store.dump_wal()),
-        snapshot_dump: door.journal_store().map(|store| store.dump_snapshots()),
+        snapshot_bytes_last: store
+            .and_then(|store| store.latest_snapshot())
+            .map_or(0, |blob| blob.len() as u64),
+        recover_host,
+        wal_dump: store.map(|store| store.dump_wal()),
+        snapshot_dump: store.map(|store| store.dump_snapshots()),
     }
 }
 
@@ -173,6 +204,7 @@ fn journaled(interval: Option<SimDuration>) -> Option<JournalConfig> {
 
 fn bench(c: &mut Criterion) {
     let fine = run(journaled(Some(FINE_INTERVAL)));
+    let fine_half = run_bursts(journaled(Some(FINE_INTERVAL)), BURSTS / 2);
     let coarse = run(journaled(Some(COARSE_INTERVAL)));
     let unsnapshotted = run(journaled(None));
     let amnesia = run(None);
@@ -245,6 +277,19 @@ fn bench(c: &mut Criterion) {
         unsnapshotted.replay_downtime
     );
 
+    // Snapshot size follows outstanding work, not completed history: both
+    // runs end drained, one with twice the completed tickets.
+    assert!(fine_half.answered * 2 == fine.answered && fine_half.snapshot_bytes_last > 0);
+    let snapshot_bound = fine_half.snapshot_bytes_last + SNAPSHOT_GROWTH_SLACK_BYTES;
+    assert!(
+        fine.snapshot_bytes_last <= snapshot_bound,
+        "snapshots must not grow with completed history: {} bytes after {} tickets vs {} after {}",
+        fine.snapshot_bytes_last,
+        fine.answered,
+        fine_half.snapshot_bytes_last,
+        fine_half.answered
+    );
+
     let requests = requests();
     println!(
         "e20: {requests} bursty arrivals / {SHARDS} shards under durability plan {SEED:#x} -> \
@@ -268,6 +313,15 @@ fn bench(c: &mut Criterion) {
         unsnapshotted.replay_downtime,
         amnesia.availability() * 100.0,
         amnesia.acked_lost,
+    );
+
+    println!(
+        "e20: last snapshot {} bytes after {} tickets ({} after {}), host recover {:.1} us",
+        fine.snapshot_bytes_last,
+        fine.answered,
+        fine_half.snapshot_bytes_last,
+        fine_half.answered,
+        fine.recover_host.as_secs_f64() * 1e6,
     );
 
     if let (Some(wal), Some(snapshots)) = (&fine.wal_dump, &fine.snapshot_dump) {
@@ -308,6 +362,12 @@ fn bench(c: &mut Criterion) {
         .metric("journal_requeued", fine.requeued as f64)
         .metric("torn_truncated", fine.torn_truncated as f64)
         .metric("snapshots_skipped", fine.snapshots_skipped as f64)
+        .metric("snapshot_bytes_last", fine.snapshot_bytes_last as f64)
+        .metric(
+            "snapshot_bytes_last_half_history",
+            fine_half.snapshot_bytes_last as f64,
+        )
+        .metric("recover_host_us", fine.recover_host.as_secs_f64() * 1e6)
         .bar(
             "availability_journal_vs_amnesia",
             fine.availability(),
@@ -327,6 +387,11 @@ fn bench(c: &mut Criterion) {
             "no_double_serves",
             if fine.double_serves == 0 { 1.0 } else { 0.0 },
             1.0,
+        )
+        .bar(
+            "snapshot_bytes_independent_of_history",
+            snapshot_bound as f64,
+            fine.snapshot_bytes_last as f64,
         )
         .write();
 

@@ -42,12 +42,12 @@ use guillotine_admit::{
     AdmissionController, AdmissionDecision, AdmissionStats, Admitted, BatchPolicy, DeadlinePolicy,
     EntryStamp, ShedPolicy,
 };
-use guillotine_journal::{rebuild, CompletionKind, SnapshotData, WalRecord};
+use guillotine_journal::{rebuild, CompletionKind, SnapshotView, TicketSet, WalRecord};
 use guillotine_telemetry::{IncidentKind, NewSpan, SpanId, TelemetryConfig};
 use guillotine_types::{DetRng, Result, SimDuration, SimInstant, TicketId};
 
 pub use guillotine_journal::{JournalConfig, JournalStore};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Sizing and backpressure configuration of a [`FrontDoor`].
 #[derive(Debug, Clone, Copy)]
@@ -147,8 +147,10 @@ pub struct FrontDoor {
     recovery_rng: DetRng,
     /// Tickets that have completed, by raw id — the idempotency layer: a
     /// ticket can complete toward the caller at most once, however many
-    /// retries and hedges raced for it.
-    completed_tickets: HashSet<u32>,
+    /// retries and hedges raced for it. Held as ranges, so its size (and
+    /// every snapshot's) follows the gaps in the ticket sequence, not how
+    /// many requests the door has ever served.
+    completed_tickets: TicketSet,
     /// Per-session arrival stamp of the most recently delivered response —
     /// the session-order witness. Recovery must never let a later arrival
     /// overtake an earlier one within a session.
@@ -190,7 +192,7 @@ impl FrontDoor {
             ttft_deadlines: false,
             recovery: None,
             recovery_rng: DetRng::seed(0),
-            completed_tickets: HashSet::new(),
+            completed_tickets: TicketSet::new(),
             session_progress: HashMap::new(),
             mode: DegradationMode::Normal,
             mode_since: SimInstant::ZERO,
@@ -984,17 +986,14 @@ impl FrontDoor {
     }
 
     /// Unconditionally snapshots the control plane (quiescent call sites
-    /// only). Sets and completion maps are sorted before encoding so the
-    /// snapshot bytes are deterministic across runs.
+    /// only), encoding straight from the live queue and idempotency set.
+    /// The session-order map is sorted first so the snapshot bytes are
+    /// deterministic across runs.
     fn snapshot_now(&mut self) {
+        let Some(journal) = self.journal.as_mut() else {
+            return;
+        };
         let now = self.fleet.clock.now();
-        let queue: Vec<(EntryStamp, String)> = self
-            .controller
-            .entries()
-            .map(|(stamp, payload)| (*stamp, payload.to_wire()))
-            .collect();
-        let mut completed: Vec<u32> = self.completed_tickets.iter().copied().collect();
-        completed.sort_unstable();
         let mut progress: Vec<(u32, u64)> = self
             .session_progress
             .iter()
@@ -1002,31 +1001,29 @@ impl FrontDoor {
             .collect();
         progress.sort_unstable();
         let shard_count = self.fleet.shard_count();
-        let quarantined = (0..shard_count)
+        let quarantined: Vec<bool> = (0..shard_count)
             .map(|index| self.fleet.is_quarantined(index))
             .collect();
-        let kv_invalidated = (0..shard_count)
+        let kv_invalidated: Vec<bool> = (0..shard_count)
             .map(|index| self.fleet.kv_invalidated(index))
             .collect();
-        let next_ticket = self.controller.next_ticket_raw();
-        let mode_rank = self.mode.rank() as u8;
         let stats = self.controller.stats();
-        if let Some(journal) = self.journal.as_mut() {
-            let data = SnapshotData {
-                at: now,
-                wal_offset: journal.store.wal_len(),
-                next_ticket,
-                mode_rank,
-                queue,
-                completed,
-                progress,
-                quarantined,
-                kv_invalidated,
-                stats,
-            };
-            journal.store.take_snapshot(&data);
-            journal.last_snapshot = now;
-        }
+        journal.store.take_snapshot(SnapshotView {
+            at: now,
+            wal_offset: journal.store.wal_len(),
+            next_ticket: self.controller.next_ticket_raw(),
+            mode_rank: self.mode.rank() as u8,
+            queue: self
+                .controller
+                .entries()
+                .map(|(stamp, request)| (stamp, request.wire())),
+            completed: &self.completed_tickets,
+            progress: &progress,
+            quarantined: &quarantined,
+            kv_invalidated: &kv_invalidated,
+            stats: &stats,
+        });
+        journal.last_snapshot = now;
     }
 
     /// The control plane dies and restarts: every volatile structure —
@@ -1115,7 +1112,7 @@ impl FrontDoor {
                 summary.replay_time = recovered.replay_cost;
                 self.controller
                     .restore(entries, replay.next_ticket, replay.stats);
-                self.completed_tickets = replay.completed.iter().copied().collect();
+                self.completed_tickets = replay.completed;
                 self.session_progress = replay
                     .progress
                     .iter()

@@ -10,7 +10,9 @@
 
 use guillotine_detect::Verdict;
 use guillotine_physical::IsolationLevel;
+use guillotine_types::encode::Escaped;
 use guillotine_types::{SessionId, SimDuration, TicketId};
+use std::fmt::{self, Write};
 
 /// Scheduling priority of one request within a batch.
 ///
@@ -124,19 +126,16 @@ impl ServeRequest {
     /// admission records so recovery can re-enqueue acked work after a
     /// control-plane crash.
     pub fn to_wire(&self) -> String {
-        use guillotine_types::encode::escape_field;
-        let cap = match self.policy.max_response_bytes {
-            Some(bytes) => bytes.to_string(),
-            None => "-".to_string(),
-        };
-        format!(
-            "{}|{}|{}|{}|{}",
-            self.session.raw(),
-            self.priority.class(),
-            u8::from(self.policy.refuse_sanitized),
-            cap,
-            escape_field(&self.prompt),
-        )
+        let mut wire = String::with_capacity(self.prompt.len() + 32);
+        // Writing to a `String` cannot fail.
+        let _ = write!(wire, "{}", self.wire());
+        wire
+    }
+
+    /// [`ServeRequest::to_wire`] as a `Display`, so a snapshot can write a
+    /// queued request's wire form straight into its own buffer.
+    pub(crate) fn wire(&self) -> WireForm<'_> {
+        WireForm(self)
     }
 
     /// Decodes [`ServeRequest::to_wire`]. `None` means the payload is
@@ -162,6 +161,28 @@ impl ServeRequest {
             },
             ticket: None,
         })
+    }
+}
+
+/// A borrowed [`ServeRequest`] whose `Display` is its wire form.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WireForm<'a>(&'a ServeRequest);
+
+impl fmt::Display for WireForm<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let request = self.0;
+        write!(
+            f,
+            "{}|{}|{}|",
+            request.session.raw(),
+            request.priority.class(),
+            u8::from(request.policy.refuse_sanitized),
+        )?;
+        match request.policy.max_response_bytes {
+            Some(bytes) => write!(f, "{bytes}|")?,
+            None => f.write_str("-|")?,
+        }
+        Escaped(f).write_str(&request.prompt)
     }
 }
 

@@ -20,9 +20,10 @@
 //!   garbage and recovery may truncate it at the first bad checksum.
 //! * [`SnapshotData`] — periodic snapshots of the control plane at
 //!   quiescent points (no batch in flight): queue contents, ticket
-//!   counter, idempotency set, per-session order witness, degradation
-//!   mode, per-shard quarantine and KV-invalidation flags, and the
-//!   admission statistics.
+//!   counter, idempotency set (a [`TicketSet`] of `lo-hi` ranges, so its
+//!   size follows the gaps, not the history), per-session order witness,
+//!   degradation mode, per-shard quarantine and KV-invalidation flags, and
+//!   the admission statistics.
 //! * [`rebuild`] — recovery: load the latest snapshot that passes its
 //!   checksums (skipping corrupt ones), replay the WAL suffix after its
 //!   offset, and fold both into a [`ReplayState`] whose queue holds
@@ -41,12 +42,14 @@
 pub mod replay;
 pub mod snapshot;
 pub mod store;
+pub mod ticket_set;
 pub mod wal;
 
 pub use replay::{rebuild, ReplayState};
-pub use snapshot::SnapshotData;
+pub use snapshot::{SnapshotData, SnapshotView};
 pub use store::{
     downtime_end, JournalConfig, JournalStore, Recovered, SNAPSHOT_LOAD_NS_PER_BYTE,
     WAL_REPLAY_NS_PER_RECORD,
 };
+pub use ticket_set::TicketSet;
 pub use wal::{CompletionKind, WalRecord, WalScan, WriteAheadLog};

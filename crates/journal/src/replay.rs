@@ -10,6 +10,7 @@
 //! completion.
 
 use crate::store::Recovered;
+use crate::ticket_set::TicketSet;
 use crate::wal::WalRecord;
 use guillotine_admit::{AdmissionStats, EntryStamp};
 
@@ -19,7 +20,7 @@ pub struct ReplayState {
     /// Acked-but-uncompleted entries, sorted by `(arrival, ticket)`.
     pub queue: Vec<(EntryStamp, String)>,
     /// Tickets whose completion was committed before the crash (raw ids).
-    pub completed: Vec<u32>,
+    pub completed: TicketSet,
     /// Per-session order witness: `(session raw, latest completed arrival
     /// ns)`.
     pub progress: Vec<(u32, u64)>,
@@ -60,7 +61,7 @@ pub fn rebuild(recovered: &Recovered) -> ReplayState {
                 // Replay is idempotent against the snapshot boundary: an
                 // enqueue already captured by the snapshot or already
                 // completed never re-enters the queue.
-                let known = state.completed.contains(&raw)
+                let known = state.completed.contains(raw)
                     || queued.iter().any(|(s, _)| s.ticket == stamp.ticket);
                 if !known {
                     queued.push((*stamp, payload.clone()));
@@ -101,10 +102,7 @@ pub fn rebuild(recovered: &Recovered) -> ReplayState {
                 arrival,
                 ..
             } => {
-                let raw = ticket.raw();
-                if !state.completed.contains(&raw) {
-                    state.completed.push(raw);
-                }
+                state.completed.insert(ticket.raw());
                 if let Some(index) = in_flight.iter().position(|(s, _)| s.ticket == *ticket) {
                     in_flight.remove(index);
                 } else if let Some(index) = queued.iter().position(|(s, _)| s.ticket == *ticket) {
@@ -178,7 +176,7 @@ mod tests {
         store.append(&complete(0, 0, 100));
         // Crash: ticket 1 dispatched but never completed; ticket 2 queued.
         let state = rebuild(&store.recover());
-        assert_eq!(state.completed, vec![0]);
+        assert_eq!(state.completed.ranges(), &[(0, 0)]);
         assert_eq!(state.requeued_in_flight, 1);
         let tickets: Vec<u32> = state.queue.iter().map(|(s, _)| s.ticket.raw()).collect();
         assert_eq!(tickets, vec![1, 2], "arrival order restored");
@@ -207,7 +205,7 @@ mod tests {
             snapped.append(record);
         }
         let boundary = rebuild(&plain.recover());
-        snapped.take_snapshot(&SnapshotData {
+        let boundary_snapshot = SnapshotData {
             at: SimInstant::from_nanos(300),
             wal_offset: snapped.wal_len(),
             next_ticket: boundary.next_ticket,
@@ -218,7 +216,8 @@ mod tests {
             quarantined: vec![false; 2],
             kv_invalidated: vec![false; 2],
             stats: boundary.stats,
-        });
+        };
+        snapped.take_snapshot(boundary_snapshot.view());
         let tail: Vec<WalRecord> = vec![
             enqueue(2, 0, 400),
             WalRecord::Dispatch {
@@ -260,7 +259,7 @@ mod tests {
         store.append(&complete(0, 0, 100));
         let state = rebuild(&store.recover());
         assert!(state.queue.is_empty());
-        assert_eq!(state.completed, vec![0]);
+        assert_eq!(state.completed.ranges(), &[(0, 0)]);
         assert_eq!(state.progress, vec![(0, 100)]);
     }
 }

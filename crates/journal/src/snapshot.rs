@@ -6,15 +6,21 @@
 //! whole snapshot invalid, and recovery falls back to the previous one (or
 //! to a full WAL replay). Snapshots are only taken when no batch is in
 //! flight, so `queue + WAL suffix` fully reconstructs the control plane.
+//!
+//! Its size is a function of *outstanding* work: the queue, one
+//! `session:arrival` pair per live session, and the idempotency set as
+//! `lo-hi` ranges ([`TicketSet`]) — not one entry per ticket ever served.
 
+use crate::ticket_set::TicketSet;
+use crate::wal::{parse_stamp, push_stamp};
 use guillotine_admit::{AdmissionStats, EntryStamp};
 use guillotine_types::encode::{
-    escape_field, frame, instant_field, parse_instant, parse_ticket, split_fields, ticket_field,
-    unescape_field, unframe,
+    frame_into, parse_instant, push_decimal, split_fields, unescape_field, unframe, Escaped,
 };
-use guillotine_types::{Gauge, Histogram, SessionId, SimDuration, SimInstant};
+use guillotine_types::{Gauge, Histogram, SimDuration, SimInstant};
+use std::fmt::{Display, Write};
 
-/// Everything a control-plane snapshot captures.
+/// Everything a control-plane snapshot captures, as decoded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotData {
     /// Fleet-clock instant the snapshot was taken.
@@ -29,7 +35,7 @@ pub struct SnapshotData {
     /// The queued entries (stamp plus wire-form payload), in queue order.
     pub queue: Vec<(EntryStamp, String)>,
     /// Tickets already completed (the idempotency set).
-    pub completed: Vec<u32>,
+    pub completed: TicketSet,
     /// Per-session order witness: latest arrival instant completed per
     /// session, as `(session raw, arrival ns)`.
     pub progress: Vec<(u32, u64)>,
@@ -41,8 +47,38 @@ pub struct SnapshotData {
     pub stats: AdmissionStats,
 }
 
-fn flags_field(flags: &[bool]) -> String {
-    flags.iter().map(|&b| if b { '1' } else { '0' }).collect()
+/// The same state, borrowed from its owner for encoding: the control plane
+/// snapshots at every quiescent pump boundary, so nothing — least of all
+/// the queued payloads — is copied into an owned [`SnapshotData`] first.
+/// `queue` yields each entry's stamp and a payload whose `Display` is its
+/// wire form.
+#[derive(Debug)]
+pub struct SnapshotView<'a, Q> {
+    /// See [`SnapshotData::at`].
+    pub at: SimInstant,
+    /// See [`SnapshotData::wal_offset`].
+    pub wal_offset: u64,
+    /// See [`SnapshotData::next_ticket`].
+    pub next_ticket: u32,
+    /// See [`SnapshotData::mode_rank`].
+    pub mode_rank: u8,
+    /// See [`SnapshotData::queue`].
+    pub queue: Q,
+    /// See [`SnapshotData::completed`].
+    pub completed: &'a TicketSet,
+    /// See [`SnapshotData::progress`]; sorted by the caller so the bytes
+    /// are deterministic.
+    pub progress: &'a [(u32, u64)],
+    /// See [`SnapshotData::quarantined`].
+    pub quarantined: &'a [bool],
+    /// See [`SnapshotData::kv_invalidated`].
+    pub kv_invalidated: &'a [bool],
+    /// See [`SnapshotData::stats`].
+    pub stats: &'a AdmissionStats,
+}
+
+fn push_flags(out: &mut String, flags: &[bool]) {
+    out.extend(flags.iter().map(|&b| if b { '1' } else { '0' }));
 }
 
 fn parse_flags(s: &str) -> Option<Vec<bool>> {
@@ -55,9 +91,9 @@ fn parse_flags(s: &str) -> Option<Vec<bool>> {
         .collect()
 }
 
-fn stats_body(stats: &AdmissionStats) -> String {
-    format!(
-        "stats|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
+fn push_stats(out: &mut String, stats: &AdmissionStats) {
+    out.push_str("stats");
+    for field in [
         stats.submitted,
         stats.enqueued,
         stats.refused,
@@ -74,11 +110,16 @@ fn stats_body(stats: &AdmissionStats) -> String {
         stats.ttft_samples,
         stats.ttft_total.as_nanos(),
         stats.ttft_max.as_nanos(),
-        // The SLO histograms ride along sparsely (sum;idx:count,...), so a
-        // recovered control plane reports the same p95/p99 it crashed with.
-        stats.wait_hist.encode_sparse(),
-        stats.ttft_hist.encode_sparse(),
-    )
+    ] {
+        out.push('|');
+        push_decimal(out, field);
+    }
+    // The SLO histograms ride along sparsely (sum;idx:count,...), so a
+    // recovered control plane reports the same p95/p99 it crashed with.
+    out.push('|');
+    stats.wait_hist.encode_sparse_into(out);
+    out.push('|');
+    stats.ttft_hist.encode_sparse_into(out);
 }
 
 fn parse_stats(fields: &[&str]) -> Option<AdmissionStats> {
@@ -110,50 +151,80 @@ fn parse_stats(fields: &[&str]) -> Option<AdmissionStats> {
     })
 }
 
-const NO_DEADLINE: &str = "-";
+impl<'a, Q, P> SnapshotView<'a, Q>
+where
+    Q: Iterator<Item = (&'a EntryStamp, P)>,
+    P: Display,
+{
+    /// Appends the snapshot as framed lines ending in an `end` marker.
+    pub fn encode_into(self, out: &mut String) {
+        // Every line is written newline-terminated; the blob is
+        // newline-separated, so the last terminator comes off at the end.
+        fn line(out: &mut String, body: impl FnOnce(&mut String)) {
+            frame_into(out, body);
+            out.push('\n');
+        }
+        line(out, |body| {
+            body.push_str("snap|");
+            push_decimal(body, self.at.as_nanos());
+            body.push('|');
+            push_decimal(body, self.wal_offset);
+            body.push('|');
+            push_decimal(body, u64::from(self.next_ticket));
+            body.push('|');
+            push_decimal(body, u64::from(self.mode_rank));
+        });
+        for (stamp, payload) in self.queue {
+            line(out, |body| {
+                body.push_str("entry|");
+                push_stamp(body, stamp);
+                body.push('|');
+                // Writing to a `String` cannot fail.
+                let _ = write!(Escaped(body), "{payload}");
+            });
+        }
+        line(out, |body| {
+            body.push_str("completed|");
+            self.completed.encode_into(body);
+        });
+        line(out, |body| {
+            body.push_str("progress|");
+            for (i, &(session, arrival)) in self.progress.iter().enumerate() {
+                if i > 0 {
+                    body.push(',');
+                }
+                push_decimal(body, u64::from(session));
+                body.push(':');
+                push_decimal(body, arrival);
+            }
+        });
+        line(out, |body| {
+            body.push_str("shards|");
+            push_flags(body, self.quarantined);
+            body.push('|');
+            push_flags(body, self.kv_invalidated);
+        });
+        line(out, |body| push_stats(body, self.stats));
+        line(out, |body| body.push_str("end"));
+        out.pop();
+    }
+}
 
 impl SnapshotData {
-    /// Serializes the snapshot as framed lines ending in an `end` marker.
-    pub fn encode(&self) -> String {
-        let mut lines = Vec::new();
-        lines.push(frame(&format!(
-            "snap|{}|{}|{}|{}",
-            instant_field(self.at),
-            self.wal_offset,
-            self.next_ticket,
-            self.mode_rank,
-        )));
-        for (stamp, payload) in &self.queue {
-            let deadline = match stamp.deadline {
-                Some(at) => instant_field(at),
-                None => NO_DEADLINE.to_string(),
-            };
-            lines.push(frame(&format!(
-                "entry|{}|{}|{}|{}|{}|{}",
-                ticket_field(stamp.ticket),
-                stamp.session.raw(),
-                stamp.class,
-                instant_field(stamp.arrival),
-                deadline,
-                escape_field(payload),
-            )));
+    /// Borrows the snapshot for encoding.
+    pub fn view(&self) -> SnapshotView<'_, impl Iterator<Item = (&EntryStamp, &String)>> {
+        SnapshotView {
+            at: self.at,
+            wal_offset: self.wal_offset,
+            next_ticket: self.next_ticket,
+            mode_rank: self.mode_rank,
+            queue: self.queue.iter().map(|(stamp, payload)| (stamp, payload)),
+            completed: &self.completed,
+            progress: &self.progress,
+            quarantined: &self.quarantined,
+            kv_invalidated: &self.kv_invalidated,
+            stats: &self.stats,
         }
-        let completed: Vec<String> = self.completed.iter().map(|t| t.to_string()).collect();
-        lines.push(frame(&format!("completed|{}", completed.join(","))));
-        let progress: Vec<String> = self
-            .progress
-            .iter()
-            .map(|(session, arrival)| format!("{session}:{arrival}"))
-            .collect();
-        lines.push(frame(&format!("progress|{}", progress.join(","))));
-        lines.push(frame(&format!(
-            "shards|{}|{}",
-            flags_field(&self.quarantined),
-            flags_field(&self.kv_invalidated),
-        )));
-        lines.push(frame(&stats_body(&self.stats)));
-        lines.push(frame("end"));
-        lines.join("\n")
     }
 
     /// Deserializes a snapshot blob, re-verifying every line's checksum.
@@ -172,7 +243,7 @@ impl SnapshotData {
             next_ticket: head_fields[3].parse().ok()?,
             mode_rank: head_fields[4].parse().ok()?,
             queue: Vec::new(),
-            completed: Vec::new(),
+            completed: TicketSet::new(),
             progress: Vec::new(),
             quarantined: Vec::new(),
             kv_invalidated: Vec::new(),
@@ -187,28 +258,12 @@ impl SnapshotData {
             let fields = split_fields(body);
             match fields.first().copied()? {
                 "entry" if fields.len() == 7 => {
-                    let deadline = if fields[5] == NO_DEADLINE {
-                        None
-                    } else {
-                        Some(parse_instant(fields[5])?)
-                    };
-                    snapshot.queue.push((
-                        EntryStamp {
-                            ticket: parse_ticket(fields[1])?,
-                            session: SessionId::new(fields[2].parse().ok()?),
-                            class: fields[3].parse().ok()?,
-                            arrival: parse_instant(fields[4])?,
-                            deadline,
-                        },
-                        unescape_field(fields[6]),
-                    ));
+                    snapshot
+                        .queue
+                        .push((parse_stamp(&fields[1..6])?, unescape_field(fields[6])));
                 }
                 "completed" if fields.len() == 2 => {
-                    if !fields[1].is_empty() {
-                        for part in fields[1].split(',') {
-                            snapshot.completed.push(part.parse().ok()?);
-                        }
-                    }
+                    snapshot.completed = TicketSet::decode(fields[1])?;
                 }
                 "progress" if fields.len() == 2 => {
                     if !fields[1].is_empty() {
@@ -231,18 +286,18 @@ impl SnapshotData {
         }
         saw_end.then_some(snapshot)
     }
-
-    /// The snapshot's serialized size in bytes — the recovery cost model
-    /// charges per byte loaded.
-    pub fn encoded_len(&self) -> u64 {
-        self.encode().len() as u64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use guillotine_types::TicketId;
+    use guillotine_types::{SessionId, TicketId};
+
+    fn encoded(snapshot: &SnapshotData) -> String {
+        let mut blob = String::new();
+        snapshot.view().encode_into(&mut blob);
+        blob
+    }
 
     fn sample() -> SnapshotData {
         let mut stats = AdmissionStats {
@@ -264,6 +319,9 @@ mod tests {
         };
         stats.depth.set(3);
         stats.depth.set(2);
+        stats.wait_hist.record(12_000);
+        stats.wait_hist.record(3);
+        stats.ttft_hist.record(25_000);
         SnapshotData {
             at: SimInstant::from_nanos(5_000),
             wal_offset: 17,
@@ -291,7 +349,7 @@ mod tests {
                     String::new(),
                 ),
             ],
-            completed: vec![0, 3, 5],
+            completed: [0, 1, 2, 3, 5].into_iter().collect(),
             progress: vec![(0, 1_200), (2, 3_400)],
             quarantined: vec![false, true, false],
             kv_invalidated: vec![true, false, false],
@@ -302,15 +360,47 @@ mod tests {
     #[test]
     fn snapshots_round_trip() {
         let snapshot = sample();
-        let blob = snapshot.encode();
+        let blob = encoded(&snapshot);
         let decoded = SnapshotData::decode(&blob).expect("clean snapshot decodes");
         assert_eq!(decoded, snapshot);
-        assert_eq!(snapshot.encoded_len(), blob.len() as u64);
+    }
+
+    /// The snapshot wire format is pinned. Every line but `completed|` is
+    /// byte-for-byte what the pre-buffer encoder wrote for this sample;
+    /// `completed|` carried `0,1,2,3,5` there and carries ranges now.
+    #[test]
+    fn framed_bytes_of_the_sample_are_pinned() {
+        assert_eq!(
+            encoded(&sample()),
+            "8ae4c475|snap|5000|17|9|1\n\
+             c75c3aa4|entry|7|2|1|4000|9000|payload\\pwith pipe\n\
+             b0d8855f|entry|8|0|2|4500|-|\n\
+             d2c745d6|completed|0-3,5\n\
+             d2e95e40|progress|0:1200,2:3400\n\
+             d79aadfa|shards|010|100\n\
+             cd44ebd8|stats|10|8|1|1|6|2|2|3|40000|12000|5|4|1|6|90000|25000|12003;1:1,13:1|25000;14:1\n\
+             00fc33b1|end"
+        );
+    }
+
+    /// A snapshot written before the idempotency set became ranges lists
+    /// one ticket per part; it must still load.
+    #[test]
+    fn a_legacy_completed_line_still_decodes() {
+        let blob =
+            encoded(&sample()).replace("d2c745d6|completed|0-3,5", "6a7b22b3|completed|0,3,5");
+        let decoded = SnapshotData::decode(&blob).expect("legacy snapshot decodes");
+        assert_eq!(decoded.completed.ranges(), &[(0, 0), (3, 3), (5, 5)]);
+        // A malformed range invalidates the snapshot like any bad line.
+        let mut bad = String::new();
+        frame_into(&mut bad, |body| body.push_str("completed|5-3"));
+        let blob = encoded(&sample()).replace("d2c745d6|completed|0-3,5", &bad);
+        assert_eq!(SnapshotData::decode(&blob), None);
     }
 
     #[test]
     fn any_corruption_invalidates_the_whole_snapshot() {
-        let blob = sample().encode();
+        let blob = encoded(&sample());
         // Flip one byte somewhere in the middle.
         let mid = blob.len() / 2;
         let mut corrupt = String::new();
@@ -340,13 +430,13 @@ mod tests {
             next_ticket: 0,
             mode_rank: 0,
             queue: Vec::new(),
-            completed: Vec::new(),
+            completed: TicketSet::new(),
             progress: Vec::new(),
             quarantined: Vec::new(),
             kv_invalidated: Vec::new(),
             stats: AdmissionStats::default(),
         };
-        let decoded = SnapshotData::decode(&snapshot.encode());
+        let decoded = SnapshotData::decode(&encoded(&snapshot));
         assert_eq!(decoded, Some(snapshot));
     }
 }

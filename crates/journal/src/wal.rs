@@ -13,7 +13,7 @@
 
 use guillotine_admit::EntryStamp;
 use guillotine_types::encode::{
-    escape_field, frame, instant_field, parse_instant, parse_ticket, split_fields, ticket_field,
+    frame_into, parse_instant, parse_ticket, push_decimal, push_escaped, split_fields,
     unescape_field, unframe,
 };
 use guillotine_types::{SessionId, SimInstant, TicketId};
@@ -104,29 +104,65 @@ pub enum WalRecord {
 
 const NO_DEADLINE: &str = "-";
 
+/// Appends an admission stamp's five `|`-joined fields — the layout the
+/// WAL's `enq` records and the snapshot's `entry` lines share.
+pub(crate) fn push_stamp(out: &mut String, stamp: &EntryStamp) {
+    push_decimal(out, u64::from(stamp.ticket.raw()));
+    out.push('|');
+    push_decimal(out, u64::from(stamp.session.raw()));
+    out.push('|');
+    push_decimal(out, u64::from(stamp.class));
+    out.push('|');
+    push_decimal(out, stamp.arrival.as_nanos());
+    out.push('|');
+    match stamp.deadline {
+        Some(at) => push_decimal(out, at.as_nanos()),
+        None => out.push_str(NO_DEADLINE),
+    }
+}
+
+/// Parses the five fields [`push_stamp`] wrote.
+pub(crate) fn parse_stamp(fields: &[&str]) -> Option<EntryStamp> {
+    let [ticket, session, class, arrival, deadline] = fields else {
+        return None;
+    };
+    Some(EntryStamp {
+        ticket: parse_ticket(ticket)?,
+        session: SessionId::new(session.parse().ok()?),
+        class: class.parse().ok()?,
+        arrival: parse_instant(arrival)?,
+        deadline: if *deadline == NO_DEADLINE {
+            None
+        } else {
+            Some(parse_instant(deadline)?)
+        },
+    })
+}
+
 impl WalRecord {
-    /// The record's stable wire form (the framed line's body).
-    pub fn encode(&self) -> String {
+    /// Appends the record's stable wire form (the framed line's body).
+    pub fn encode_into(&self, out: &mut String) {
         match self {
             WalRecord::Enqueue { stamp, payload } => {
-                let deadline = match stamp.deadline {
-                    Some(at) => instant_field(at),
-                    None => NO_DEADLINE.to_string(),
-                };
-                format!(
-                    "enq|{}|{}|{}|{}|{}|{}",
-                    ticket_field(stamp.ticket),
-                    stamp.session.raw(),
-                    stamp.class,
-                    instant_field(stamp.arrival),
-                    deadline,
-                    escape_field(payload),
-                )
+                out.push_str("enq|");
+                push_stamp(out, stamp);
+                out.push('|');
+                push_escaped(out, payload);
             }
-            WalRecord::Shed { ticket } => format!("shed|{}", ticket_field(*ticket)),
+            WalRecord::Shed { ticket } => {
+                out.push_str("shed|");
+                push_decimal(out, u64::from(ticket.raw()));
+            }
             WalRecord::Dispatch { at, tickets } => {
-                let list: Vec<String> = tickets.iter().map(|t| ticket_field(*t)).collect();
-                format!("disp|{}|{}", instant_field(*at), list.join(","))
+                out.push_str("disp|");
+                push_decimal(out, at.as_nanos());
+                out.push('|');
+                for (i, ticket) in tickets.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    push_decimal(out, u64::from(ticket.raw()));
+                }
             }
             WalRecord::Complete {
                 ticket,
@@ -134,14 +170,18 @@ impl WalRecord {
                 outcome,
                 session,
                 arrival,
-            } => format!(
-                "done|{}|{}|{}|{}|{}",
-                ticket_field(*ticket),
-                instant_field(*at),
-                outcome.code(),
-                session.raw(),
-                instant_field(*arrival),
-            ),
+            } => {
+                out.push_str("done|");
+                push_decimal(out, u64::from(ticket.raw()));
+                out.push('|');
+                push_decimal(out, at.as_nanos());
+                out.push('|');
+                out.push_str(outcome.code());
+                out.push('|');
+                push_decimal(out, u64::from(session.raw()));
+                out.push('|');
+                push_decimal(out, arrival.as_nanos());
+            }
         }
     }
 
@@ -151,23 +191,10 @@ impl WalRecord {
     pub fn decode(body: &str) -> Option<WalRecord> {
         let fields = split_fields(body);
         match fields.first().copied()? {
-            "enq" if fields.len() == 7 => {
-                let deadline = if fields[5] == NO_DEADLINE {
-                    None
-                } else {
-                    Some(parse_instant(fields[5])?)
-                };
-                Some(WalRecord::Enqueue {
-                    stamp: EntryStamp {
-                        ticket: parse_ticket(fields[1])?,
-                        session: SessionId::new(fields[2].parse().ok()?),
-                        class: fields[3].parse().ok()?,
-                        arrival: parse_instant(fields[4])?,
-                        deadline,
-                    },
-                    payload: unescape_field(fields[6]),
-                })
-            }
+            "enq" if fields.len() == 7 => Some(WalRecord::Enqueue {
+                stamp: parse_stamp(&fields[1..6])?,
+                payload: unescape_field(fields[6]),
+            }),
             "shed" if fields.len() == 2 => Some(WalRecord::Shed {
                 ticket: parse_ticket(fields[1])?,
             }),
@@ -195,12 +222,37 @@ impl WalRecord {
     }
 }
 
-/// The in-memory model of the durable log file: committed framed lines
-/// plus, possibly, one torn (partially-flushed, never-acked) tail.
+/// Capacity of one log segment. A segment is allocated once and never
+/// grows, so the log's memory is its bytes plus at most one part-filled
+/// segment — a single buffer grown by doubling would hold up to twice that.
+const SEGMENT_BYTES: usize = 64 * 1024;
+
+/// One fixed-capacity stretch of the log file.
+#[derive(Debug, Clone)]
+struct Segment {
+    /// Index of the first record in this segment.
+    first_record: u64,
+    /// Committed framed lines, each ending in `\n`; in the newest segment
+    /// possibly followed by a torn tail.
+    text: String,
+}
+
+/// The in-memory model of the durable log file: append-only segments of
+/// committed framed lines plus, possibly, one torn (partially-flushed,
+/// never-acked) tail after the last of them. A committed record costs no
+/// allocation of its own — it is framed in a reused buffer and copied to
+/// the end of the newest segment.
 #[derive(Debug, Clone, Default)]
 pub struct WriteAheadLog {
-    lines: Vec<String>,
-    torn_tail: Option<String>,
+    segments: Vec<Segment>,
+    /// Number of committed records.
+    records: u64,
+    /// Length of the committed prefix of the newest segment; bytes past it
+    /// are the torn tail.
+    committed: usize,
+    /// The record being framed: its length must be known before it is
+    /// placed in a segment.
+    scratch: String,
 }
 
 impl WriteAheadLog {
@@ -214,86 +266,125 @@ impl WriteAheadLog {
     /// that never completed) is overwritten — exactly what a real logger
     /// does when it keeps appending from its in-memory position.
     pub fn append(&mut self, record: &WalRecord) -> u64 {
-        self.torn_tail = None;
-        self.lines.push(frame(&record.encode()));
-        self.lines.len() as u64 - 1
+        self.scratch.clear();
+        frame_into(&mut self.scratch, |body| record.encode_into(body));
+        self.scratch.push('\n');
+        if let Some(newest) = self.segments.last_mut() {
+            newest.text.truncate(self.committed);
+        }
+        match self.segments.last_mut() {
+            Some(newest) if newest.text.len() + self.scratch.len() <= newest.text.capacity() => {
+                newest.text.push_str(&self.scratch);
+                self.committed = newest.text.len();
+            }
+            _ => {
+                let mut text = String::with_capacity(SEGMENT_BYTES.max(self.scratch.len()));
+                text.push_str(&self.scratch);
+                self.committed = text.len();
+                self.segments.push(Segment {
+                    first_record: self.records,
+                    text,
+                });
+            }
+        }
+        self.records += 1;
+        self.records - 1
     }
 
     /// Number of committed records.
     pub fn len(&self) -> u64 {
-        self.lines.len() as u64
+        self.records
     }
 
     /// True when nothing has been committed.
     pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
+        self.records == 0
     }
 
     /// True when a torn tail is pending at the end of the file.
     pub fn has_torn_tail(&self) -> bool {
-        self.torn_tail.is_some()
+        self.segments
+            .last()
+            .is_some_and(|newest| newest.text.len() > self.committed)
     }
 
     /// Simulates a torn append: garbage that looks like the front half of
     /// a record lands after the committed tail. The record it belonged to
     /// was never committed, so no caller was ever acked for it.
     pub fn tear(&mut self) {
-        let half = match self.lines.last() {
-            Some(line) => {
-                let cut = line.len() / 2;
-                let mut partial = String::new();
-                for (i, c) in line.chars().enumerate() {
-                    if i >= cut {
-                        break;
-                    }
-                    partial.push(c);
-                }
-                partial
+        let committed = self.committed;
+        match self.segments.last_mut() {
+            // A segment is only ever opened by a record, so with anything
+            // committed the newest one ends in a whole line.
+            Some(newest) if committed > 0 => {
+                newest.text.truncate(committed);
+                // The front half of the last line (without its newline),
+                // cut on a character boundary.
+                let body_end = committed - 1;
+                let start = newest.text[..body_end].rfind('\n').map_or(0, |at| at + 1);
+                let line = &newest.text[start..body_end];
+                let half = line
+                    .char_indices()
+                    .nth(line.len() / 2)
+                    .map_or(line.len(), |(at, _)| at);
+                newest.text.extend_from_within(start..start + half);
             }
-            None => "00000000|enq".to_string(),
-        };
-        self.torn_tail = Some(half);
+            _ => {
+                let mut text = String::with_capacity(SEGMENT_BYTES);
+                text.push_str("00000000|enq");
+                self.segments.clear();
+                self.segments.push(Segment {
+                    first_record: 0,
+                    text,
+                });
+            }
+        }
     }
 
     /// The file bytes a recovery would read: every committed line plus the
     /// torn tail, newline-separated.
     pub fn bytes(&self) -> String {
-        let mut out = self.lines.join("\n");
-        if let Some(tail) = &self.torn_tail {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(tail);
+        let total = self.segments.iter().map(|segment| segment.text.len()).sum();
+        let mut out = String::with_capacity(total);
+        for segment in &self.segments {
+            out.push_str(&segment.text);
+        }
+        if !self.has_torn_tail() {
+            // Lines are newline-separated, not newline-terminated.
+            out.pop();
         }
         out
     }
 
     /// Scans the log *as read from its bytes* — every line re-verified
-    /// against its checksum — starting at record `offset`. Stops at the
-    /// first unreadable line (bad frame, bad checksum, or undecodable
+    /// against its checksum — starting at record `offset`. Segments wholly
+    /// below it are never read, so a scan costs the suffix (plus at most
+    /// one segment's worth of skipped lines), not the history. Stops at
+    /// the first unreadable line (bad frame, bad checksum, or undecodable
     /// body): everything after a torn point is untrusted. Returns the
     /// decoded suffix and how many trailing lines were truncated.
     pub fn replay_from(&self, offset: u64) -> WalScan {
-        let bytes = self.bytes();
-        let mut records = Vec::new();
-        let mut index = 0u64;
+        let offset = offset.min(self.records);
+        let first = self
+            .segments
+            .partition_point(|segment| segment.first_record <= offset)
+            .saturating_sub(1);
+        let mut records = Vec::with_capacity((self.records - offset) as usize);
         let mut truncated = 0u64;
-        let mut torn = false;
-        for line in bytes.lines() {
-            if torn {
-                truncated += 1;
-                continue;
-            }
-            match unframe(line).and_then(WalRecord::decode) {
-                Some(record) => {
-                    if index >= offset {
-                        records.push(record);
-                    }
-                    index += 1;
-                }
-                None => {
-                    torn = true;
+        for (i, segment) in self.segments[first..].iter().enumerate() {
+            let skip = if i == 0 {
+                (offset - segment.first_record) as usize
+            } else {
+                0
+            };
+            for line in segment.text.lines().skip(skip) {
+                if truncated > 0 {
                     truncated += 1;
+                    continue;
+                }
+                match unframe(line).and_then(WalRecord::decode) {
+                    Some(record) => records.push(record),
+                    None => truncated = 1,
                 }
             }
         }
@@ -355,9 +446,58 @@ mod tests {
             },
         ];
         for record in records {
-            let decoded = WalRecord::decode(&record.encode());
-            assert_eq!(decoded.as_ref(), Some(&record));
+            let mut body = String::new();
+            record.encode_into(&mut body);
+            assert_eq!(WalRecord::decode(&body).as_ref(), Some(&record));
         }
+    }
+
+    /// The WAL wire format is pinned: these are the bytes the pre-buffer
+    /// encoder (`format!` + `frame`) produced for one record of each
+    /// variant, so old logs stay readable and `wal_bytes_per_req` is
+    /// comparable across commits.
+    #[test]
+    fn framed_bytes_of_every_variant_are_pinned() {
+        let mut wal = WriteAheadLog::new();
+        wal.append(&WalRecord::Enqueue {
+            stamp: stamp(7, 3, 100),
+            payload: "3|1|0|-|prompt with \\p pipe\\nand newline é".to_string(),
+        });
+        wal.append(&WalRecord::Enqueue {
+            stamp: EntryStamp {
+                deadline: None,
+                ..stamp(8, 3, 150)
+            },
+            payload: String::new(),
+        });
+        wal.append(&WalRecord::Shed {
+            ticket: TicketId::new(9),
+        });
+        wal.append(&WalRecord::Dispatch {
+            at: SimInstant::from_nanos(400),
+            tickets: vec![TicketId::new(7), TicketId::new(8)],
+        });
+        wal.append(&WalRecord::Dispatch {
+            at: SimInstant::from_nanos(401),
+            tickets: Vec::new(),
+        });
+        wal.append(&WalRecord::Complete {
+            ticket: TicketId::new(7),
+            at: SimInstant::from_nanos(900),
+            outcome: CompletionKind::Sanitized,
+            session: SessionId::new(3),
+            arrival: SimInstant::from_nanos(100),
+        });
+        assert_eq!(
+            wal.bytes(),
+            "7dce81e5|enq|7|3|1|100|5100|3\\p1\\p0\\p-\\pprompt with \\\\p pipe\\\\nand newline é\n\
+             349f5c05|enq|8|3|1|150|-|\n\
+             0a9f387f|shed|9\n\
+             85b3415f|disp|400|7,8\n\
+             066e05ec|disp|401|\n\
+             beed51a9|done|7|900|sanitized|3|100"
+        );
+        assert_eq!(wal.replay_from(0).records.len(), 6);
     }
 
     #[test]
@@ -409,11 +549,85 @@ mod tests {
     }
 
     #[test]
+    fn a_log_longer_than_one_segment_scans_from_any_offset() {
+        // Payloads sized so a few dozen records fill a segment, one of them
+        // larger than a whole segment.
+        let mut wal = WriteAheadLog::new();
+        let mut expected = Vec::new();
+        for i in 0..200u32 {
+            let len = if i == 77 { SEGMENT_BYTES + 10 } else { 1500 };
+            let record = WalRecord::Enqueue {
+                stamp: stamp(i, i % 3, u64::from(i) * 10),
+                payload: format!("{i}:").repeat(len / 3),
+            };
+            assert_eq!(wal.append(&record), u64::from(i));
+            expected.push(record);
+        }
+        assert!(wal.segments.len() > 3, "{} segments", wal.segments.len());
+        for segment in &wal.segments {
+            assert!(
+                segment.text.capacity() == SEGMENT_BYTES || segment.first_record == 77,
+                "segments never grow: {}",
+                segment.text.capacity()
+            );
+        }
+        wal.tear();
+        assert_eq!(wal.bytes().lines().count(), 201);
+        for offset in [0, 1, 42, 43, 44, 76, 77, 78, 150, 199, 200, 201] {
+            let scan = wal.replay_from(offset);
+            let tail = expected.get(offset as usize..).unwrap_or(&[]);
+            assert_eq!(scan.records, tail, "offset {offset}");
+            assert_eq!(scan.truncated, 1, "offset {offset}");
+        }
+        // Appending over the torn tail continues in the same segment.
+        let segments = wal.segments.len();
+        wal.append(&WalRecord::Shed {
+            ticket: TicketId::new(0),
+        });
+        assert_eq!(wal.segments.len(), segments);
+        assert_eq!(wal.replay_from(200).records.len(), 1);
+        assert_eq!(wal.replay_from(0).truncated, 0);
+    }
+
+    #[test]
     fn tearing_an_empty_log_still_truncates_cleanly() {
         let mut wal = WriteAheadLog::new();
         wal.tear();
+        assert_eq!(wal.bytes(), "00000000|enq");
         let scan = wal.replay_from(0);
         assert!(scan.records.is_empty());
         assert_eq!(scan.truncated, 1);
+    }
+
+    #[test]
+    fn a_scan_from_any_offset_is_the_tail_of_the_full_scan() {
+        let mut wal = WriteAheadLog::new();
+        for i in 0..6 {
+            wal.append(&WalRecord::Enqueue {
+                stamp: stamp(i, i % 2, u64::from(i) * 10),
+                payload: format!("req {i} é"),
+            });
+        }
+        for torn in [false, true] {
+            if torn {
+                wal.tear();
+                // The tail is the front half of the last line, by chars.
+                let bytes = wal.bytes();
+                let last = bytes.lines().nth(5).expect("six lines");
+                let half: String = last.chars().take(last.len() / 2).collect();
+                assert_eq!(bytes.lines().nth(6), Some(half.as_str()));
+            }
+            let full = wal.replay_from(0);
+            assert_eq!(full.records.len(), 6);
+            assert_eq!(full.truncated, u64::from(torn));
+            // Past-the-end offsets included: nothing to replay, the torn
+            // tail still reported.
+            for offset in 0..=8u64 {
+                let scan = wal.replay_from(offset);
+                let expected = full.records.get(offset as usize..).unwrap_or(&[]);
+                assert_eq!(scan.records, expected, "offset {offset}, torn {torn}");
+                assert_eq!(scan.truncated, full.truncated, "offset {offset}");
+            }
+        }
     }
 }

@@ -155,33 +155,34 @@ impl Tracer {
             .collect()
     }
 
+    /// Whether `link`, if set, names a recorded span. Ids are assigned
+    /// densely from zero in recording order, so this is a bounds check.
+    fn resolves(&self, link: Option<SpanId>) -> bool {
+        link.is_none_or(|id| id.0 < self.next_id)
+    }
+
     /// Spans whose parent or follows link names an id that was never
     /// recorded — the broken-causality witness the observability bench
     /// asserts is empty.
     pub fn orphans(&self) -> Vec<&Span> {
-        let ids: HashSet<SpanId> = self.spans.iter().map(|s| s.id).collect();
         self.spans
             .iter()
-            .filter(|s| {
-                let bad_parent = s.parent.is_some_and(|p| !ids.contains(&p));
-                let bad_follows = s.follows.is_some_and(|f| !ids.contains(&f));
-                bad_parent || bad_follows
-            })
+            .filter(|s| !self.resolves(s.parent) || !self.resolves(s.follows))
             .collect()
     }
 
     /// Whether a ticket has a complete span tree: at least one root span
     /// (no parent) carries the ticket, and every span carrying the ticket
-    /// reaches a root by walking resolvable parent links.
+    /// has resolvable parent and follows links.
     pub fn has_complete_tree(&self, ticket: TicketId) -> bool {
-        let mine: Vec<&Span> = self.spans_for(ticket);
-        if !mine.iter().any(|s| s.parent.is_none()) {
-            return false;
+        let mut rooted = false;
+        for span in self.spans.iter().filter(|s| s.ticket == Some(ticket)) {
+            if !self.resolves(span.parent) || !self.resolves(span.follows) {
+                return false;
+            }
+            rooted |= span.parent.is_none();
         }
-        let ids: HashSet<SpanId> = self.spans.iter().map(|s| s.id).collect();
-        mine.iter().all(|s| {
-            s.parent.is_none_or(|p| ids.contains(&p)) && s.follows.is_none_or(|f| ids.contains(&f))
-        })
+        rooted
     }
 
     /// Distinct tickets that have at least one span.

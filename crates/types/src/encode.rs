@@ -13,14 +13,17 @@
 //! * **JSON scalars** — [`json_escape`] and [`json_number`], the exact
 //!   dialect the existing artifacts use (`null` for non-finite numbers,
 //!   `\uXXXX` for control characters).
-//! * **Checksummed line framing** — [`frame`] / [`unframe`] wrap a record
-//!   body as `crc32hex|body`, one record per line, so a reader can detect
-//!   a torn tail by the first bad checksum. [`escape_field`] /
+//! * **Checksummed line framing** — [`frame_into`] / [`unframe`] wrap a
+//!   record body as `crc32hex|body`, one record per line, so a reader can
+//!   detect a torn tail by the first bad checksum. [`Escaped`] /
 //!   [`unescape_field`] make arbitrary strings safe to join with `|` and
-//!   `\n` inside a framed body.
+//!   `\n` inside a framed body. The writers append to a caller-owned
+//!   buffer: the journal encodes a whole WAL record or snapshot into one
+//!   reused `String`, with no temporary per field.
 
 use crate::clock::SimInstant;
 use crate::ids::TicketId;
+use std::fmt;
 
 /// Escapes a string for embedding inside a JSON string literal.
 ///
@@ -53,26 +56,54 @@ pub fn json_number(v: f64) -> String {
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), computed bitwise. The
-/// workspace is offline, records are short and the clock is simulated, so
-/// a table-free implementation is the right trade.
+/// The reflected IEEE 802.3 polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// `CRC32_TABLE[b]` is the CRC register after shifting byte `b` through
+/// eight bitwise steps, so the per-byte loop is one lookup.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[byte] = crc;
+        byte += 1;
+    }
+    table
+};
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected), one table lookup per byte.
+/// Every WAL and snapshot byte is checksummed on write and again on
+/// recovery, so the eight dependent shift/xor steps per byte of the
+/// bitwise form were a measurable share of journaling.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = 0xFFFF_FFFF;
     for &byte in bytes {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
 
-/// Frames one record body as `crc32hex|body` (checksum over the body
-/// bytes, fixed 8 hex digits). The body must not contain `\n`; callers
-/// route multi-line payloads through [`escape_field`] first.
-pub fn frame(body: &str) -> String {
-    format!("{:08x}|{body}", crc32(body.as_bytes()))
+/// Appends one framed record, `crc32hex|body` (checksum over the body
+/// bytes, fixed 8 hex digits), where `body` writes the record body
+/// straight into `out`. The body must not contain `\n`; callers route
+/// free text through [`Escaped`].
+pub fn frame_into(out: &mut String, body: impl FnOnce(&mut String)) {
+    let start = out.len();
+    out.push_str("00000000|");
+    body(out);
+    let crc = crc32(&out.as_bytes()[start + 9..]);
+    let mut hex = [0u8; 8];
+    for (i, digit) in hex.iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[((crc >> (28 - 4 * i)) & 0xF) as usize];
+    }
+    let hex = std::str::from_utf8(&hex).expect("hex digits are ASCII");
+    out.replace_range(start..start + 8, hex);
 }
 
 /// Validates one framed line and returns the body, or `None` when the
@@ -85,24 +116,54 @@ pub fn unframe(line: &str) -> Option<&str> {
     (claimed == crc32(body.as_bytes())).then_some(body)
 }
 
-/// Escapes a string so it can be joined into a framed body with `|`
-/// separators: `\` becomes `\\`, `|` becomes `\p`, and newlines become
-/// `\n` so a field can never break line framing.
-pub fn escape_field(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '|' => out.push_str("\\p"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
+/// A [`fmt::Write`] sink that escapes what is written through it so the
+/// text can be joined into a framed body with `|` separators: `\` becomes
+/// `\\`, `|` becomes `\p`, and newlines become `\n` so a field can never
+/// break line framing. Sinks nest: a payload that is itself a `|`-joined
+/// record with an escaped field is written through two of them.
+pub struct Escaped<'a, W: fmt::Write>(pub &'a mut W);
+
+impl<W: fmt::Write> fmt::Write for Escaped<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let mut clean = 0;
+        for (at, byte) in s.bytes().enumerate() {
+            let escape = match byte {
+                b'\\' => "\\\\",
+                b'|' => "\\p",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                _ => continue,
+            };
+            self.0.write_str(&s[clean..at])?;
+            self.0.write_str(escape)?;
+            clean = at + 1;
         }
+        self.0.write_str(&s[clean..])
     }
-    out
 }
 
-/// Reverses [`escape_field`]. Unknown escapes decode to the escaped
+/// Appends `s` to `out`, escaped as by [`Escaped`].
+pub fn push_escaped(out: &mut String, s: &str) {
+    // Writing to a `String` cannot fail.
+    let _ = fmt::Write::write_str(&mut Escaped(out), s);
+}
+
+/// Appends `n` in decimal — the wire form of every count, id and instant.
+pub fn push_decimal(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// Reverses [`Escaped`]. Unknown escapes decode to the escaped
 /// character itself, so a truncated escape cannot panic.
 pub fn unescape_field(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -129,12 +190,7 @@ pub fn split_fields(body: &str) -> Vec<&str> {
     body.split('|').collect()
 }
 
-/// Renders a [`SimInstant`] as its stable wire form (decimal nanoseconds).
-pub fn instant_field(at: SimInstant) -> String {
-    at.as_nanos().to_string()
-}
-
-/// Parses the wire form produced by [`instant_field`].
+/// Parses a [`SimInstant`]'s wire form (decimal nanoseconds).
 pub fn parse_instant(s: &str) -> Option<SimInstant> {
     s.parse::<u64>().ok().map(SimInstant::from_nanos)
 }
@@ -168,6 +224,31 @@ mod tests {
         assert_eq!(json_number(f64::INFINITY), "null");
     }
 
+    /// The bitwise definition the table is built from, kept as the
+    /// reference the table-driven [`crc32`] is checked against.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &byte in bytes {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    fn framed(body: &str) -> String {
+        let mut line = String::new();
+        frame_into(&mut line, |out| out.push_str(body));
+        line
+    }
+
+    fn escaped(s: &str) -> String {
+        let mut out = String::new();
+        push_escaped(&mut out, s);
+        out
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // The classic IEEE CRC-32 check value.
@@ -175,9 +256,22 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    proptest::proptest! {
+        #[test]
+        fn crc32_table_matches_the_bitwise_reference(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..300),
+        ) {
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        }
+    }
+
     #[test]
     fn frame_round_trips_and_rejects_corruption() {
-        let line = frame("enq|7|3|hello");
+        let line = framed("enq|7|3|hello");
+        assert_eq!(
+            line,
+            format!("{:08x}|enq|7|3|hello", crc32(b"enq|7|3|hello"))
+        );
         assert_eq!(unframe(&line), Some("enq|7|3|hello"));
         let mut torn = line.clone();
         torn.truncate(line.len() - 2);
@@ -186,29 +280,53 @@ mod tests {
         assert_eq!(unframe(&flipped), None);
         assert_eq!(unframe("short"), None);
         assert_eq!(unframe("zzzzzzzz|body"), None);
+        // Frames append: a second record lands after the first, and a
+        // checksum with leading zero digits keeps its fixed width.
+        let mut two = line.clone();
+        two.push('\n');
+        frame_into(&mut two, |out| out.push_str("end"));
+        assert_eq!(two, format!("{line}\n{}", framed("end")));
+        assert_eq!(framed(""), "00000000|");
     }
 
     #[test]
     fn field_escaping_round_trips_separators() {
         let nasty = "a|b\\c\nd\re";
-        let escaped = escape_field(nasty);
-        assert!(!escaped.contains('|'));
-        assert!(!escaped.contains('\n'));
-        assert_eq!(unescape_field(&escaped), nasty);
+        let escaped_nasty = escaped(nasty);
+        assert_eq!(escaped_nasty, "a\\pb\\\\c\\nd\\re");
+        assert!(!escaped_nasty.contains('|'));
+        assert!(!escaped_nasty.contains('\n'));
+        assert_eq!(unescape_field(&escaped_nasty), nasty);
         // Joining and splitting with the separator is lossless.
-        let body = format!("{}|{}", escape_field("x|y"), escape_field("z"));
+        let body = format!("{}|{}", escaped("x|y"), escaped("z"));
         let fields = split_fields(&body);
         assert_eq!(fields.len(), 2);
         assert_eq!(unescape_field(fields[0]), "x|y");
         assert_eq!(unescape_field(fields[1]), "z");
+        // Sinks nest: two layers in, two layers out, multi-byte text intact.
+        let mut twice = String::new();
+        {
+            use std::fmt::Write;
+            let mut outer = Escaped(&mut twice);
+            Escaped(&mut outer).write_str("é|ü").unwrap();
+        }
+        assert_eq!(twice, escaped(&escaped("é|ü")));
+        assert_eq!(unescape_field(&unescape_field(&twice)), "é|ü");
     }
 
     #[test]
     fn id_and_instant_fields_round_trip() {
-        let at = SimInstant::from_nanos(123_456);
-        assert_eq!(parse_instant(&instant_field(at)), Some(at));
-        let ticket = TicketId::new(42);
-        assert_eq!(parse_ticket(&ticket_field(ticket)), Some(ticket));
+        let mut field = String::new();
+        push_decimal(&mut field, 123_456);
+        assert_eq!(field, "123456");
+        assert_eq!(parse_instant(&field), Some(SimInstant::from_nanos(123_456)));
+        assert_eq!(parse_ticket(&field), Some(TicketId::new(123_456)));
+        assert_eq!(ticket_field(TicketId::new(123_456)), field);
+        for n in [0, 9, 10, u64::from(u32::MAX), u64::MAX] {
+            field.clear();
+            push_decimal(&mut field, n);
+            assert_eq!(field, n.to_string());
+        }
         assert_eq!(parse_instant("nope"), None);
         assert_eq!(parse_ticket("-1"), None);
     }

@@ -1,6 +1,8 @@
 //! Lightweight metrics containers used by experiments and benchmarks.
 
+use crate::encode::push_decimal;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 /// A simple monotonically increasing counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -262,12 +264,12 @@ impl Histogram {
         &self.buckets
     }
 
-    /// A compact, stable text form: `sum;idx:count,idx:count,...` with only
-    /// the non-empty buckets listed in ascending index order. Used by the
-    /// journal's snapshot encoding and the metrics artifacts.
-    pub fn encode_sparse(&self) -> String {
-        let mut out = self.sum.to_string();
-        out.push(';');
+    /// Appends a compact, stable text form: `sum;idx:count,idx:count,...`
+    /// with only the non-empty buckets listed in ascending index order.
+    /// Used by the journal's snapshot encoding.
+    pub fn encode_sparse_into(&self, out: &mut String) {
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{};", self.sum);
         let mut first = true;
         for (i, &c) in self.buckets.iter().enumerate() {
             if c == 0 {
@@ -277,14 +279,13 @@ impl Histogram {
                 out.push(',');
             }
             first = false;
-            out.push_str(&i.to_string());
+            push_decimal(out, i as u64);
             out.push(':');
-            out.push_str(&c.to_string());
+            push_decimal(out, c);
         }
-        out
     }
 
-    /// Decodes [`Histogram::encode_sparse`] output. `None` on any malformed
+    /// Decodes [`Histogram::encode_sparse_into`] output. `None` on any malformed
     /// field, out-of-range bucket index, or count overflow.
     pub fn decode_sparse(text: &str) -> Option<Histogram> {
         let (sum, buckets) = text.split_once(';')?;
@@ -450,15 +451,17 @@ mod tests {
         for v in [0u64, 1, 7, 900, 900, u64::MAX] {
             h.record(v);
         }
-        let encoded = h.encode_sparse();
+        let mut encoded = String::new();
+        h.encode_sparse_into(&mut encoded);
+        assert_eq!(&encoded[..encoded.find(';').unwrap()], h.sum().to_string());
         let decoded = Histogram::decode_sparse(&encoded).expect("well-formed");
         assert_eq!(decoded, h);
         // Empty histograms and malformed text are handled.
         let empty = Histogram::new();
-        assert_eq!(
-            Histogram::decode_sparse(&empty.encode_sparse()),
-            Some(empty)
-        );
+        encoded.clear();
+        empty.encode_sparse_into(&mut encoded);
+        assert_eq!(encoded, "0;");
+        assert_eq!(Histogram::decode_sparse(&encoded), Some(empty));
         assert_eq!(Histogram::decode_sparse(""), None);
         assert_eq!(Histogram::decode_sparse("0;64:1"), None);
         assert_eq!(Histogram::decode_sparse("0;x:1"), None);

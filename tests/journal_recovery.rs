@@ -215,6 +215,57 @@ fn snapshots_bound_recovery_by_the_wal_suffix() {
     );
 }
 
+/// The journal's cost follows outstanding work, not history: with every
+/// ticket completing in order the idempotency set is one range, so the
+/// latest snapshot after 4096 requests is the size it was after 256 (give
+/// or take a few digits) — it used to carry one entry per ticket ever
+/// served. And the ranged set still does its job: a control-plane crash
+/// at that point recovers it, and every acked ticket is answered exactly
+/// once.
+#[test]
+fn snapshot_size_is_independent_of_completed_history() {
+    let run = |n: u32| {
+        let mut d = journaled_door(2);
+        // Slow enough that the queue never fills: nothing refused or shed,
+        // so tickets 0..n all complete.
+        let trace: Vec<TimedArrival> = (0..n)
+            .map(|i| TimedArrival {
+                at: SimInstant::from_nanos(u64::from(i) * 3_000_000),
+                request: benign(i, i % 8),
+                deadline: None,
+            })
+            .collect();
+        let (decisions, mut responses) = d.play(trace).unwrap();
+        assert_eq!(admitted_count(&decisions), n as usize, "shed-free");
+        assert_eq!(responses.len(), n as usize);
+        let store = d.journal_store().expect("journaled door");
+        let snapshot = store.latest_snapshot().expect("snapshots were taken");
+        let bytes = snapshot.len();
+        // Crash with acked work outstanding on top of the long history.
+        for i in n..n + 12 {
+            assert!(d.submit(benign(i, i % 8)).admitted());
+        }
+        d.schedule_control_crash(d.now());
+        responses.extend(d.drain().unwrap());
+        assert_eq!(responses.len(), n as usize + 12);
+        let recovery = d.last_control_recovery().expect("crash must have fired");
+        assert!(recovery.used_snapshot);
+        assert_eq!(recovery.requeued, 12);
+        assert_eq!(recovery.lost, 0);
+        let stats = d.stats();
+        assert_eq!(stats.recovery.acked_lost, 0);
+        assert_eq!(stats.recovery.double_serves, 0);
+        assert_eq!(stats.recovery.session_reorderings, 0);
+        bytes
+    };
+    let short = run(256);
+    let long = run(4096);
+    assert!(
+        long <= short + 256,
+        "snapshot grew with history: {short} bytes after 256 requests, {long} after 4096"
+    );
+}
+
 /// Ticket ids stay unique across an amnesia crash: the counter survives
 /// even when the queue does not, so later admissions never collide with
 /// earlier (lost) ones.
