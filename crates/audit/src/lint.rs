@@ -7,11 +7,12 @@
 //!
 //! * **`no-panic`** — no `unwrap()` / `expect()` / `panic!` /
 //!   `unreachable!` / `todo!` / `unimplemented!` in the serve-path modules
-//!   (`crates/core/src/{serve,deployment,fleet,admission,streaming}.rs` and
-//!   the telemetry record path `crates/telemetry/src/*.rs`).
-//!   A panic there takes down a whole batch (or a scatter/gather worker)
-//!   for one request's error; fallible paths must return
-//!   `GuillotineError` instead.
+//!   (`crates/core/src/{serve,deployment,fleet,admission,streaming}.rs`,
+//!   the telemetry record path `crates/telemetry/src/*.rs`, and the
+//!   forward pass with its sweep pool, `crates/model/src/forward.rs`).
+//!   A panic there takes down a whole batch (or a sweep-pool helper, and
+//!   with it the sweep someone is waiting to collect) for one request's
+//!   error; fallible paths must return `GuillotineError` instead.
 //! * **`lock-poison`** — a `.lock()` immediately unwrapped with
 //!   `.unwrap()` / `.expect(...)` anywhere in workspace crates. A panicking
 //!   serve thread poisons shared state for every later request; the
@@ -53,13 +54,15 @@ use std::path::Path;
 /// The serve-path modules held to the `no-panic` rule. The telemetry
 /// record path is included: it runs inline on every span and metric the
 /// serving loop emits, so a panic there takes down serving exactly as a
-/// panic in a serve stage would.
-const SERVE_PATH: [&str; 9] = [
+/// panic in a serve stage would. So is the forward pass: its sweep pool's
+/// helpers run the sweeps every batch waits on.
+const SERVE_PATH: [&str; 10] = [
     "crates/core/src/serve.rs",
     "crates/core/src/deployment.rs",
     "crates/core/src/fleet.rs",
     "crates/core/src/admission.rs",
     "crates/core/src/streaming.rs",
+    "crates/model/src/forward.rs",
     "crates/telemetry/src/lib.rs",
     "crates/telemetry/src/span.rs",
     "crates/telemetry/src/registry.rs",

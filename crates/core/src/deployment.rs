@@ -18,8 +18,8 @@ use guillotine_hv::{
 };
 use guillotine_hw::{Machine, MachineConfig};
 use guillotine_model::{
-    decode_byte_target, decode_tokens, prompt_tokens, BatchedForwardPass, KvLookup, KvTier,
-    KvTierStats, PrefillJob,
+    decode_byte_target, decode_tokens, prompt_tokens, simulated_answer, BatchedForwardPass,
+    KvLookup, KvTier, KvTierStats, PendingSweep, PrefillJob,
 };
 use guillotine_net::{Endpoint, Network, NetworkConfig, Packet, RegulatorCa};
 use guillotine_physical::quorum::{AdminSet, VoteKind};
@@ -95,6 +95,49 @@ pub struct StandardPorts {
     pub rag: PortId,
 }
 
+const QUEUE_LATENCY: SimDuration = SimDuration::from_micros(50);
+const INPUT_SCREEN_LATENCY: SimDuration = SimDuration::from_micros(20);
+const OUTPUT_SCREEN_LATENCY: SimDuration = SimDuration::from_micros(10);
+
+/// One request's response under construction, in submission order.
+struct Slot {
+    outcome: Option<ServeOutcomeKind>,
+    response: String,
+    verdicts: Vec<StageVerdict>,
+    latency: LatencyBreakdown,
+    kv_hit: bool,
+    isolation: IsolationLevel,
+}
+
+/// A batch between [`GuillotineDeployment::begin_batch`] and
+/// [`GuillotineDeployment::finish_batch`]: screened, looked up, billed for
+/// launch and prefill, its forward sweep launched and not yet collected.
+/// It owns everything `finish_batch` needs except the requests, which the
+/// caller still holds.
+pub(crate) struct StagedBatch {
+    chunk_tokens: u64,
+    entry: SimInstant,
+    stats_verdict: Verdict,
+    /// The verdict a severed stream will carry: the most recent verdict
+    /// that recommended `Sever` or worse, falling back to the batch's
+    /// system-stats verdict when the escalation came from outside the
+    /// text screens.
+    sever_verdict: Option<Verdict>,
+    slots: Vec<Slot>,
+    /// Request indices that reached the forward pass, in priority order.
+    survivors: Vec<usize>,
+    sweep: PendingSweep,
+}
+
+/// What [`GuillotineDeployment::begin_batch`] leaves for
+/// [`GuillotineDeployment::finish_batch`].
+pub(crate) enum BatchStage {
+    /// Refused at admission: the responses are already final.
+    Done(Vec<StreamedResponse>),
+    /// Everything up to the forward pass ran and the sweep is in flight.
+    Staged(Box<StagedBatch>),
+}
+
 /// A complete Guillotine deployment mirroring Figure 1 of the paper.
 pub struct GuillotineDeployment {
     config: DeploymentConfig,
@@ -125,8 +168,9 @@ pub struct GuillotineDeployment {
     stream_categories: Option<Arc<CompiledCategories>>,
     severed_streams: u64,
     /// Per-shard span buffer: stage and chunk spans accumulate here while
-    /// the deployment serves (possibly on a scoped thread) and the fleet
-    /// drains them into the global tracer after each sub-batch. Disabled
+    /// the deployment serves — always on the fleet's control thread; only
+    /// the forward sweep runs elsewhere, and it records nothing — and the
+    /// fleet drains them into the global tracer after each batch. Disabled
     /// (and free) unless fleet telemetry is on.
     tracer: ShardTracer,
 }
@@ -251,6 +295,12 @@ impl GuillotineDeployment {
             tracer: ShardTracer::new(),
             config,
         })
+    }
+
+    /// Test seam: sweep on `pool` instead of the process-wide one.
+    #[cfg(test)]
+    pub(crate) fn use_sweep_pool(&mut self, pool: Arc<guillotine_model::SweepPool>) {
+        self.forward.use_pool(pool);
     }
 
     /// Turns per-shard span buffering on or off (the fleet flips this when
@@ -498,6 +548,15 @@ impl GuillotineDeployment {
     /// Serves a batch of requests through the full screened path, decoding
     /// incrementally and streaming redacted chunks.
     ///
+    /// The pipeline is two halves around the forward pass:
+    /// [`GuillotineDeployment::begin_batch`] runs stages 1–4 and leaves the
+    /// batch's one weight sweep *launched*;
+    /// [`GuillotineDeployment::finish_batch`] collects it and runs stages
+    /// 5–6. This method is `begin` then `finish` back to back. The fleet
+    /// driver calls the halves itself — every live shard's `begin`, then
+    /// every `finish` — so the shards' sweeps overlap in wall-clock while
+    /// everything stateful stays on the calling thread, in one fixed order.
+    ///
     /// Pipeline semantics, in order:
     ///
     /// 1. **System snapshot.** The anomaly detector sees *one*
@@ -529,8 +588,9 @@ impl GuillotineDeployment {
     ///    `kv_hit` and `latency.kv_saved`. Answers are generated from the
     ///    full prompt either way, so delivered bytes are identical with the
     ///    tier on or off.
-    /// 5. **Incremental decode.** The launch and prefill costs advance the
-    ///    clock up front; decode then proceeds in lockstep rounds of
+    /// 5. **Incremental decode.** The launch and prefill costs advanced the
+    ///    clock up front, in stage 4; once the sweep is collected decode
+    ///    proceeds in lockstep rounds of
     ///    `chunk_tokens` tokens per surviving stream (priority order within
     ///    a round). Each chunk advances the clock by its telescoping share
     ///    of the per-sequence decode cost — the shares sum *exactly* to the
@@ -564,28 +624,35 @@ impl GuillotineDeployment {
         chunk_tokens: u64,
     ) -> Result<Vec<StreamedResponse>> {
         let borrowed: Vec<&ServeRequest> = requests.iter().collect();
-        self.serve_batch_streaming_borrowed(&borrowed, chunk_tokens)
+        let stage = self.begin_batch(&borrowed, chunk_tokens)?;
+        self.finish_batch(&borrowed, stage)
     }
 
-    /// [`GuillotineDeployment::serve_batch_streaming_with_chunk`] over
-    /// borrowed requests. The pipeline only ever reads its requests, so the
-    /// fleet driver serves straight out of the batch its caller owns: a
-    /// stranded sub-batch is still there to retry, with nothing cloned and
-    /// nothing handed back.
-    pub(crate) fn serve_batch_streaming_borrowed(
+    /// Stages 1–4 of the pipeline
+    /// ([`GuillotineDeployment::serve_batch_streaming_with_chunk`]): the
+    /// stats window, admission, input shielding, batch-level escalation, KV
+    /// lookups in priority order, the launch/prefill clock advance with its
+    /// per-request shares and `serve.prefill` spans — and the forward sweep
+    /// *launched*, not awaited. Hand the result to
+    /// [`GuillotineDeployment::finish_batch`] with the same requests.
+    ///
+    /// The pipeline only ever reads its requests, so the fleet driver
+    /// serves straight out of the batch its caller owns: a stranded
+    /// sub-batch is still there to retry, with nothing cloned and nothing
+    /// handed back.
+    ///
+    /// Nothing fallible follows the launch, so an `Err` here never leaves a
+    /// sweep uncollected.
+    pub(crate) fn begin_batch(
         &mut self,
         requests: &[&ServeRequest],
         chunk_tokens: u64,
-    ) -> Result<Vec<StreamedResponse>> {
+    ) -> Result<BatchStage> {
         if requests.is_empty() {
-            return Ok(Vec::new());
+            return Ok(BatchStage::Done(Vec::new()));
         }
-        let chunk_tokens = chunk_tokens.max(1);
         let entry = self.clock.now();
-        let queue_latency = SimDuration::from_micros(50);
-        let input_latency = SimDuration::from_micros(20);
-        let output_latency = SimDuration::from_micros(10);
-        self.clock.advance(queue_latency);
+        self.clock.advance(QUEUE_LATENCY);
 
         // One system-stats window for the whole batch. The snapshot runs
         // before the admission check so that even admission-refused
@@ -602,7 +669,7 @@ impl GuillotineDeployment {
             let final_level = self.isolation_level();
             // Refused at admission: the stream never opened, so it ends
             // `Completed` (severing is reserved for streams cut mid-batch).
-            return Ok(requests
+            let refused = requests
                 .iter()
                 .map(|request| StreamedResponse {
                     chunks: Vec::new(),
@@ -616,20 +683,17 @@ impl GuillotineDeployment {
                             verdict: stats_verdict.clone(),
                         }],
                         latency: LatencyBreakdown {
-                            queue: queue_latency,
+                            queue: QUEUE_LATENCY,
                             ..LatencyBreakdown::default()
                         },
                         kv_hit: false,
                         isolation: final_level,
                     },
                 })
-                .collect());
+                .collect();
+            return Ok(BatchStage::Done(refused));
         }
 
-        // The verdict a severed stream will carry: the most recent verdict
-        // that recommended `Sever` or worse, falling back to the batch's
-        // system-stats verdict when the escalation came from outside the
-        // text screens.
         let mut sever_verdict: Option<Verdict> = None;
         if stats_verdict.flagged && stats_verdict.action >= RecommendedAction::Sever {
             sever_verdict = Some(stats_verdict.clone());
@@ -640,14 +704,6 @@ impl GuillotineDeployment {
         let mut order: Vec<usize> = (0..requests.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(requests[i].priority));
 
-        struct Slot {
-            outcome: Option<ServeOutcomeKind>,
-            response: String,
-            verdicts: Vec<StageVerdict>,
-            latency: LatencyBreakdown,
-            kv_hit: bool,
-            isolation: IsolationLevel,
-        }
         let mut slots: Vec<Slot> = requests
             .iter()
             .map(|_| Slot {
@@ -658,7 +714,7 @@ impl GuillotineDeployment {
                     verdict: stats_verdict.clone(),
                 }],
                 latency: LatencyBreakdown {
-                    queue: queue_latency,
+                    queue: QUEUE_LATENCY,
                     ..LatencyBreakdown::default()
                 },
                 kv_hit: false,
@@ -669,7 +725,7 @@ impl GuillotineDeployment {
         // Input shielding across the whole batch, before any forward pass.
         for &i in &order {
             let shield_start = self.clock.now();
-            self.clock.advance(input_latency);
+            self.clock.advance(INPUT_SCREEN_LATENCY);
             let now = self.clock.now();
             let verdict = self.hypervisor.screen_prompt(&requests[i].prompt, now);
             self.tracer.push(
@@ -679,7 +735,7 @@ impl GuillotineDeployment {
                 now,
                 String::new(),
             );
-            slots[i].latency.input_screen = input_latency;
+            slots[i].latency.input_screen = INPUT_SCREEN_LATENCY;
             if verdict.flagged && verdict.action > RecommendedAction::Sanitize {
                 slots[i].outcome = Some(ServeOutcomeKind::Refused);
             }
@@ -702,8 +758,10 @@ impl GuillotineDeployment {
             .copied()
             .filter(|&i| slots[i].outcome.is_none() && !short_circuited)
             .collect();
-        let answers = if survivors.is_empty() {
-            Vec::new()
+        let sweep = if survivors.is_empty() {
+            // Nothing reached the forward pass: the empty launch queues
+            // nothing and bills nothing.
+            self.forward.launch(&[])
         } else {
             // KV lookups in serving (priority) order: each surviving
             // prompt's cached prefix is served from the tier, and only the
@@ -727,14 +785,14 @@ impl GuillotineDeployment {
                     prefill_tokens: lookup.uncached_tokens(),
                 })
                 .collect();
-            let answers = self.forward.run_prefill_decode(&jobs);
+            let sweep = self.forward.launch(&jobs);
             let launch = self.forward.launch_latency();
             let batch_prefill = lookups.iter().fold(SimDuration::ZERO, |acc, lookup| {
                 acc.saturating_add(self.forward.prefill_latency(lookup.uncached_tokens()))
             });
             // Launch and prefill advance the clock up front; decode is
-            // incremental, billed chunk by chunk in the streaming loop
-            // below.
+            // incremental, billed chunk by chunk in `finish_batch`'s
+            // streaming loop.
             let prefill_start = self.clock.now();
             self.clock.advance(launch.saturating_add(batch_prefill));
             // Split the launch cost so the per-request shares sum back
@@ -762,8 +820,47 @@ impl GuillotineDeployment {
                     String::new(),
                 );
             }
-            answers
+            sweep
         };
+        Ok(BatchStage::Staged(Box::new(StagedBatch {
+            chunk_tokens: chunk_tokens.max(1),
+            entry,
+            stats_verdict,
+            sever_verdict,
+            slots,
+            survivors,
+            sweep,
+        })))
+    }
+
+    /// Stages 5–6 of the pipeline
+    /// ([`GuillotineDeployment::serve_batch_streaming_with_chunk`]) for the
+    /// batch [`GuillotineDeployment::begin_batch`] staged from the same
+    /// `requests`: collect the forward sweep, generate the answers, run the
+    /// decode rounds through the streaming sanitizer, screen each output
+    /// (severing mid-stream if a verdict demands it) and assemble the
+    /// responses in submission order.
+    ///
+    /// The sweep is collected before anything that can fail, so every
+    /// launched sweep is collected whatever this returns.
+    pub(crate) fn finish_batch(
+        &mut self,
+        requests: &[&ServeRequest],
+        stage: BatchStage,
+    ) -> Result<Vec<StreamedResponse>> {
+        let StagedBatch {
+            chunk_tokens,
+            entry,
+            stats_verdict,
+            mut sever_verdict,
+            mut slots,
+            survivors,
+            sweep,
+        } = match stage {
+            BatchStage::Done(responses) => return Ok(responses),
+            BatchStage::Staged(staged) => *staged,
+        };
+        self.forward.collect(sweep);
 
         // The live state of one in-flight stream. `done` flips when the
         // stream screens (outcome set) or is severed (outcome left `None`,
@@ -780,19 +877,21 @@ impl GuillotineDeployment {
         }
         let mut streams: Vec<StreamState> = survivors
             .iter()
-            .zip(answers)
-            .map(|(&i, answer)| StreamState {
-                slot: i,
-                total: decode_tokens(&answer),
-                answer,
-                decoded: 0,
-                cursor: 0,
-                sanitizer: self
-                    .stream_categories
-                    .as_ref()
-                    .map(|compiled| StreamingSanitizer::new(Arc::clone(compiled))),
-                chunks: Vec::new(),
-                done: false,
+            .map(|&i| {
+                let answer = simulated_answer(&requests[i].prompt);
+                StreamState {
+                    slot: i,
+                    total: decode_tokens(&answer),
+                    answer,
+                    decoded: 0,
+                    cursor: 0,
+                    sanitizer: self
+                        .stream_categories
+                        .as_ref()
+                        .map(|compiled| StreamingSanitizer::new(Arc::clone(compiled))),
+                    chunks: Vec::new(),
+                    done: false,
+                }
             })
             .collect();
 
@@ -880,7 +979,7 @@ impl GuillotineDeployment {
                     });
                 }
                 let sanitize_start = self.clock.now();
-                self.clock.advance(output_latency);
+                self.clock.advance(OUTPUT_SCREEN_LATENCY);
                 let now = self.clock.now();
                 let i = streams[k].slot;
                 self.tracer.push(
@@ -892,7 +991,7 @@ impl GuillotineDeployment {
                 );
                 let (mut delivered, verdict) =
                     self.hypervisor.screen_response(&streams[k].answer, now);
-                slots[i].latency.output_screen = output_latency;
+                slots[i].latency.output_screen = OUTPUT_SCREEN_LATENCY;
                 let escalates = verdict.flagged && verdict.action >= RecommendedAction::Sever;
                 if escalates {
                     sever_verdict = Some(verdict.clone());
@@ -958,7 +1057,7 @@ impl GuillotineDeployment {
         // Anything still undecided was cut off by a batch-level escalation.
         self.apply_pending_escalation()?;
         let final_level = self.isolation_level();
-        let severing_verdict = sever_verdict.unwrap_or_else(|| stats_verdict.clone());
+        let severing_verdict = sever_verdict.unwrap_or(stats_verdict);
         let mut stream_chunks: Vec<Vec<StreamChunk>> =
             requests.iter().map(|_| Vec::new()).collect();
         let mut stream_decoded: Vec<u64> = vec![0; requests.len()];

@@ -18,10 +18,31 @@
 //!
 //! Answers depend only on the prompt text — never on cache state — so
 //! serving is byte-identical with any KV tier on or off.
+//!
+//! # The sweep pool
+//!
+//! The weight sweep is the accelerator stand-in: a pure function
+//! `sweep(checksum, words) -> checksum` that reads and writes nothing else.
+//! It is the one piece of serving that leaves the control thread.
+//! [`BatchedForwardPass::launch`] counts the launch and queues the sweep on
+//! a [`SweepPool`]; [`BatchedForwardPass::collect`] stores its result. The
+//! process-wide pool parks `available_parallelism() − 1` helper threads
+//! (none on a one-CPU host), spawned once, the first time a sweep is
+//! launched while another is still pending. `collect` is
+//! **help-first**: while its own result is missing the caller pops and runs
+//! queued sweeps itself, so collection completes at any helper count —
+//! including zero, and including after a failed thread spawn left fewer
+//! helpers than asked for — and a lone launch is swept by the thread that
+//! collects it without waking anyone. A fleet that launches one sweep per
+//! live shard before collecting the first therefore overlaps them across
+//! cores, while every stateful step (detectors, KV tier, clocks, tracers)
+//! stays on the thread that called `launch`.
 
 use guillotine_scan::Matcher;
 use guillotine_types::SimDuration;
-use std::sync::OnceLock;
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::thread;
 
 /// Number of simulated weight words streamed per forward-pass launch.
 ///
@@ -93,6 +114,266 @@ impl<'a> PrefillJob<'a> {
     }
 }
 
+/// One pass over the simulated weight store plus a launch's prefill
+/// compute: `words` dependent mixing steps starting from `checksum`.
+/// `black_box` keeps the loop from being optimized away, so the wall-clock
+/// cost is real and both the batch amortization and the KV prefill reuse
+/// the benches measure are honest. Pure — it touches nothing but its
+/// arguments — which is what lets it run on a pool helper.
+fn sweep(checksum: u64, words: u64) -> u64 {
+    let mut acc = checksum;
+    for word in 0..words {
+        acc = std::hint::black_box(
+            (acc ^ word)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .rotate_left(29),
+        );
+    }
+    acc
+}
+
+/// A sweep waiting on a pool's queue.
+struct QueuedSweep {
+    ticket: u64,
+    checksum: u64,
+    words: u64,
+}
+
+#[derive(Default)]
+struct PoolState {
+    queue: VecDeque<QueuedSweep>,
+    /// `(ticket, checksum)` of sweeps someone other than their collector
+    /// ran; each is removed by its `collect`.
+    finished: Vec<(u64, u64)>,
+    next_ticket: u64,
+    /// Sweeps launched and not yet collected.
+    pending: usize,
+    /// Helper threads still to be spawned, the first time a sweep is
+    /// launched behind another.
+    unspawned: usize,
+    helpers: Vec<thread::JoinHandle<()>>,
+    stats: SweepPoolStats,
+    shutdown: bool,
+}
+
+struct PoolShared {
+    state: Mutex<PoolState>,
+    /// Helpers park here until a sweep is queued behind another.
+    work: Condvar,
+    /// Collectors whose sweep is running on another thread park here.
+    done: Condvar,
+}
+
+impl PoolShared {
+    fn state(&self) -> MutexGuard<'_, PoolState> {
+        // The state is a queue of plain numbers, valid at every step, and
+        // nothing runs under the lock that can panic: recovering a poisoned
+        // guard is always safe, and one dead thread must not stop serving.
+        self.state
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Runs `job` with the lock released and re-takes it.
+    fn run<'a>(
+        &'a self,
+        state: MutexGuard<'a, PoolState>,
+        job: &QueuedSweep,
+    ) -> (MutexGuard<'a, PoolState>, u64) {
+        drop(state);
+        let result = sweep(job.checksum, job.words);
+        (self.state(), result)
+    }
+
+    /// A helper thread's life: run queued sweeps, park when there are none.
+    fn help(&self) {
+        let mut state = self.state();
+        loop {
+            if let Some(job) = state.queue.pop_front() {
+                let (retaken, result) = self.run(state, &job);
+                state = retaken;
+                state.finished.push((job.ticket, result));
+                self.done.notify_all();
+            } else if state.shutdown {
+                return;
+            } else {
+                state = self
+                    .work
+                    .wait(state)
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+            }
+        }
+    }
+}
+
+/// High-water marks of a [`SweepPool`], for the structural overlap tests.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SweepPoolStats {
+    /// The most sweeps ever launched and not yet collected at once.
+    pub max_pending: usize,
+    /// Helper wake-ups requested: one per sweep launched while another was
+    /// still pending. A lone launch requests none.
+    pub wakes: u64,
+    /// Helper threads spawned so far: none until the first such wake-up.
+    pub helpers: usize,
+}
+
+/// The threads forward-pass sweeps run on: a queue of pure
+/// `(checksum, words)` jobs behind a `Mutex` + `Condvar`, drained by parked
+/// helper threads and — help-first — by whoever is collecting. See the
+/// [module docs](self). Serving uses the one process-wide pool; the
+/// explicit-helper-count constructor exists for the tests that prove the
+/// helper count cannot change a result.
+pub struct SweepPool {
+    shared: Arc<PoolShared>,
+}
+
+impl std::fmt::Debug for SweepPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SweepPool")
+            .field("stats", &self.stats())
+            .finish()
+    }
+}
+
+impl SweepPool {
+    /// The process-wide pool: one fewer helper than the CPUs this process
+    /// may run on (the calling thread is the remaining worker), parked
+    /// between batches.
+    fn process_wide() -> &'static SweepPool {
+        static POOL: OnceLock<SweepPool> = OnceLock::new();
+        POOL.get_or_init(|| {
+            let cpus = thread::available_parallelism().map_or(1, |n| n.get());
+            SweepPool::with_helpers(cpus - 1)
+        })
+    }
+
+    /// A private pool with up to `helpers` helper threads, spawned on
+    /// first use: the first time a sweep is launched while another is
+    /// pending. A process that only ever has one sweep in flight — every
+    /// one-shard fleet — never starts a thread.
+    ///
+    /// Test seam, not a serving option — see
+    /// [`BatchedForwardPass::use_pool`].
+    #[doc(hidden)]
+    pub fn with_helpers(helpers: usize) -> SweepPool {
+        SweepPool {
+            shared: Arc::new(PoolShared {
+                state: Mutex::new(PoolState {
+                    unspawned: helpers,
+                    ..PoolState::default()
+                }),
+                work: Condvar::new(),
+                done: Condvar::new(),
+            }),
+        }
+    }
+
+    /// Spawns the pool's helpers, once. A failed spawn leaves fewer
+    /// (possibly zero) and is not retried: sweeps then run on their
+    /// collectors, so a pool can only degrade toward serial, never fail to
+    /// serve.
+    fn spawn_helpers(&self, state: &mut PoolState) {
+        for index in 0..std::mem::take(&mut state.unspawned) {
+            let shared = Arc::clone(&self.shared);
+            let helper = thread::Builder::new()
+                .name(format!("guillotine-sweep-{index}"))
+                .spawn(move || shared.help());
+            match helper {
+                Ok(handle) => state.helpers.push(handle),
+                Err(_) => break,
+            }
+        }
+        state.stats.helpers = state.helpers.len();
+    }
+
+    /// The pool's high-water marks so far.
+    #[doc(hidden)]
+    pub fn stats(&self) -> SweepPoolStats {
+        self.shared.state().stats
+    }
+
+    /// Queues one sweep and returns its ticket. A helper is woken only
+    /// when another sweep is already pending: a lone sweep stays with the
+    /// thread that will collect it.
+    fn launch(&self, checksum: u64, words: u64) -> u64 {
+        let mut state = self.shared.state();
+        let ticket = state.next_ticket;
+        state.next_ticket += 1;
+        state.queue.push_back(QueuedSweep {
+            ticket,
+            checksum,
+            words,
+        });
+        state.pending += 1;
+        state.stats.max_pending = state.stats.max_pending.max(state.pending);
+        if state.pending > 1 {
+            if state.unspawned > 0 {
+                self.spawn_helpers(&mut state);
+            }
+            state.stats.wakes += 1;
+            self.shared.work.notify_one();
+        }
+        ticket
+    }
+
+    /// Returns the result of sweep `ticket`, running queued sweeps — its
+    /// own or anyone's — on this thread while that result is missing.
+    /// Blocks only when the queue is empty, i.e. when the wanted sweep is
+    /// already running on another thread.
+    fn collect(&self, ticket: u64) -> u64 {
+        let shared = &*self.shared;
+        let mut state = shared.state();
+        loop {
+            if let Some(at) = state.finished.iter().position(|&(t, _)| t == ticket) {
+                state.pending -= 1;
+                return state.finished.swap_remove(at).1;
+            }
+            if let Some(job) = state.queue.pop_front() {
+                let (retaken, result) = shared.run(state, &job);
+                state = retaken;
+                if job.ticket == ticket {
+                    state.pending -= 1;
+                    return result;
+                }
+                state.finished.push((job.ticket, result));
+                shared.done.notify_all();
+            } else {
+                state = shared
+                    .done
+                    .wait(state)
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+            }
+        }
+    }
+}
+
+impl Drop for SweepPool {
+    fn drop(&mut self) {
+        let helpers = {
+            let mut state = self.shared.state();
+            state.shutdown = true;
+            std::mem::take(&mut state.helpers)
+        };
+        self.shared.work.notify_all();
+        for helper in helpers {
+            // A helper runs nothing that can panic; were one to have died
+            // anyway there is nothing left to do about it here.
+            let _ = helper.join();
+        }
+    }
+}
+
+/// A sweep that has been launched and not yet collected; hand it back to
+/// the engine that launched it through [`BatchedForwardPass::collect`].
+#[derive(Debug)]
+#[must_use = "a launched sweep holds a pool slot until it is collected"]
+pub struct PendingSweep {
+    /// `None` for the empty launch, which queued nothing.
+    ticket: Option<u64>,
+}
+
 /// The simulated model's forward-pass engine.
 ///
 /// Holds the per-launch cost model (both wall-clock, via the weight sweep,
@@ -106,6 +387,8 @@ pub struct BatchedForwardPass {
     launches: u64,
     sequences: u64,
     prefilled_tokens: u64,
+    /// `None` sweeps on the process-wide pool.
+    pool: Option<Arc<SweepPool>>,
 }
 
 impl Default for BatchedForwardPass {
@@ -128,6 +411,22 @@ impl BatchedForwardPass {
             launches: 0,
             sequences: 0,
             prefilled_tokens: 0,
+            pool: None,
+        }
+    }
+
+    /// Sweeps on `pool` instead of the process-wide one. Test seam: it lets
+    /// a test pin the helper count (and read the pool's high-water marks
+    /// undisturbed by other tests) to show results do not depend on it.
+    #[doc(hidden)]
+    pub fn use_pool(&mut self, pool: Arc<SweepPool>) {
+        self.pool = Some(pool);
+    }
+
+    fn pool(&self) -> &SweepPool {
+        match &self.pool {
+            Some(pool) => pool,
+            None => SweepPool::process_wide(),
         }
     }
 
@@ -199,34 +498,40 @@ impl BatchedForwardPass {
     /// never executed — but each answer is still generated from the full
     /// prompt, so output is byte-identical however much was cached.
     pub fn run_prefill_decode(&mut self, jobs: &[PrefillJob<'_>]) -> Vec<String> {
+        let pending = self.launch(jobs);
+        self.collect(pending);
+        jobs.iter().map(|j| simulated_answer(j.prompt)).collect()
+    }
+
+    /// Starts one launch: counts it (launch, sequences, prefilled tokens)
+    /// and queues its sweep — the fixed per-launch words plus the batch's
+    /// uncached prefill — on the pool, from the engine's current checksum.
+    /// An empty batch launches nothing. The engine expects the sweep back
+    /// through [`BatchedForwardPass::collect`] before its next launch: the
+    /// checksum chains from one sweep to the next.
+    pub fn launch(&mut self, jobs: &[PrefillJob<'_>]) -> PendingSweep {
         if jobs.is_empty() {
-            return Vec::new();
+            return PendingSweep { ticket: None };
         }
         let prefill: u64 = jobs.iter().map(|j| j.prefill_tokens).sum();
         let words = self
             .sweep_words
             .saturating_add(PREFILL_WORDS_PER_TOKEN.saturating_mul(prefill));
-        self.checksum = self.sweep_weights(words);
         self.launches += 1;
         self.sequences += jobs.len() as u64;
         self.prefilled_tokens += prefill;
-        jobs.iter().map(|j| simulated_answer(j.prompt)).collect()
+        PendingSweep {
+            ticket: Some(self.pool().launch(self.checksum, words)),
+        }
     }
 
-    /// One pass over the simulated weight store plus the launch's prefill
-    /// compute. `black_box` keeps the loop from being optimized away, so the
-    /// wall-clock cost is real and both the batch amortization and the KV
-    /// prefill reuse the benches measure are honest.
-    fn sweep_weights(&self, words: u64) -> u64 {
-        let mut acc = self.checksum;
-        for word in 0..words {
-            acc = std::hint::black_box(
-                (acc ^ word)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .rotate_left(29),
-            );
+    /// Finishes a launch: waits for its sweep — running it, or whatever
+    /// else is queued, on this thread if no helper has got to it — and
+    /// stores the resulting checksum.
+    pub fn collect(&mut self, pending: PendingSweep) {
+        if let Some(ticket) = pending.ticket {
+            self.checksum = self.pool().collect(ticket);
         }
-        acc
     }
 }
 
@@ -323,6 +628,145 @@ mod tests {
         assert_eq!(warm.prefilled_tokens(), 3);
         assert_eq!(cold_answers, warm_answers, "caching must not change output");
         assert_eq!(warm.launches(), 1);
+    }
+
+    /// The parent commit's sweep, kept verbatim as the byte-identity oracle.
+    fn reference_sweep(checksum: u64, words: u64) -> u64 {
+        let mut acc = checksum;
+        for word in 0..words {
+            acc = (acc ^ word)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .rotate_left(29);
+        }
+        acc
+    }
+
+    fn engine_on(pool: &Arc<SweepPool>) -> BatchedForwardPass {
+        let mut fp = BatchedForwardPass::with_sweep_words(64);
+        fp.use_pool(Arc::clone(pool));
+        fp
+    }
+
+    fn counters(fp: &BatchedForwardPass) -> (u64, u64, u64, u64) {
+        (
+            fp.checksum,
+            fp.launches(),
+            fp.sequences(),
+            fp.prefilled_tokens(),
+        )
+    }
+
+    #[test]
+    fn run_prefill_decode_matches_the_serial_reference() {
+        let prompts = ["first prompt", "a second, longer prompt to prefill"];
+        let jobs: Vec<PrefillJob> = prompts.iter().map(|p| PrefillJob::cold(p)).collect();
+        let prefill: u64 = jobs.iter().map(|j| j.prefill_tokens).sum();
+        let mut fp = BatchedForwardPass::with_sweep_words(64);
+        let mut expected = fp.checksum;
+        for _ in 0..3 {
+            let answers = fp.run_prefill_decode(&jobs);
+            assert_eq!(
+                answers,
+                prompts.map(simulated_answer),
+                "answers come from the prompts alone"
+            );
+            expected = reference_sweep(expected, 64 + PREFILL_WORDS_PER_TOKEN * prefill);
+            assert_eq!(fp.checksum, expected, "each sweep chains from the last");
+        }
+        assert_eq!(fp.launches(), 3);
+    }
+
+    #[test]
+    fn interleaved_launches_equal_sequential_runs_at_any_helper_count() {
+        const ENGINES: usize = 5;
+        const ROUNDS: usize = 4;
+        let prompts = ["alpha", "beta beta", "gamma gamma gamma"];
+        // Engine `e` serves the first `1 + e % 3` prompts each round.
+        let jobs_for = |e: usize| -> Vec<PrefillJob<'static>> {
+            prompts[..1 + e % 3]
+                .iter()
+                .map(|p| PrefillJob::cold(p))
+                .collect()
+        };
+        let sequential: Vec<_> = (0..ENGINES)
+            .map(|e| {
+                let mut fp = BatchedForwardPass::with_sweep_words(64);
+                for _ in 0..ROUNDS {
+                    fp.run_prefill_decode(&jobs_for(e));
+                }
+                counters(&fp)
+            })
+            .collect();
+        for helpers in [0usize, 1, 3] {
+            let pool = Arc::new(SweepPool::with_helpers(helpers));
+            let mut engines: Vec<_> = (0..ENGINES).map(|_| engine_on(&pool)).collect();
+            for round in 0..ROUNDS {
+                let mut pending: Vec<(usize, PendingSweep)> = engines
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(e, fp)| (e, fp.launch(&jobs_for(e))))
+                    .collect();
+                // A different collection order every round: forward,
+                // reverse, and two rotations.
+                match round % 4 {
+                    0 => {}
+                    1 => pending.reverse(),
+                    r => pending.rotate_left(r),
+                }
+                for (e, sweep) in pending {
+                    engines[e].collect(sweep);
+                }
+            }
+            let overlapped: Vec<_> = engines.iter().map(counters).collect();
+            assert_eq!(overlapped, sequential, "{helpers} helper(s)");
+            assert_eq!(pool.stats().max_pending, ENGINES, "{helpers} helper(s)");
+        }
+    }
+
+    #[test]
+    fn collect_is_help_first_so_zero_helpers_still_complete() {
+        let pool = Arc::new(SweepPool::with_helpers(0));
+        let mut first = engine_on(&pool);
+        let mut second = engine_on(&pool);
+        let a = first.launch(&[PrefillJob::cold("one")]);
+        let b = second.launch(&[PrefillJob::cold("two")]);
+        // Collecting the later launch first runs the earlier one on the way.
+        second.collect(b);
+        first.collect(a);
+        assert_eq!(first.launches() + second.launches(), 2);
+        assert_eq!(pool.stats().max_pending, 2);
+    }
+
+    #[test]
+    fn a_lone_launch_wakes_no_helper() {
+        let pool = Arc::new(SweepPool::with_helpers(3));
+        let mut fp = engine_on(&pool);
+        for _ in 0..4 {
+            fp.run(&["only one sweep is ever pending"]);
+        }
+        let stats = pool.stats();
+        assert_eq!(stats.wakes, 0, "a lone sweep stays with its collector");
+        assert_eq!(stats.helpers, 0, "and no thread was ever started");
+        assert_eq!(stats.max_pending, 1);
+        // A second pending sweep is what asks for a helper.
+        let mut other = engine_on(&pool);
+        let a = fp.launch(&[PrefillJob::cold("a")]);
+        let b = other.launch(&[PrefillJob::cold("b")]);
+        fp.collect(a);
+        other.collect(b);
+        let stats = pool.stats();
+        assert_eq!((stats.wakes, stats.helpers), (1, 3));
+    }
+
+    #[test]
+    fn an_empty_launch_queues_nothing() {
+        let pool = Arc::new(SweepPool::with_helpers(0));
+        let mut fp = engine_on(&pool);
+        let before = fp.checksum;
+        let pending = fp.launch(&[]);
+        fp.collect(pending);
+        assert_eq!(counters(&fp), (before, 0, 0, 0));
+        assert_eq!(pool.stats().max_pending, 0);
     }
 
     #[test]

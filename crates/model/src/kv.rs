@@ -27,10 +27,15 @@
 //!   is configured to invalidate the poisoned shard's entries —
 //!   containment beats locality).
 //!
-//! Determinism: block keys include the session id, so concurrent shards
-//! serving disjoint sessions observe the same hits/misses regardless of
-//! lock-acquisition order; only eviction order (and therefore behaviour
-//! *under capacity pressure*) depends on interleaving.
+//! Determinism: lookups never interleave. A fleet performs every shard's
+//! lookups on its one control thread — all of a batch's, in shard-index
+//! then priority order, before any shard's forward sweep is collected — so
+//! hits, misses and eviction order are a function of the request trace
+//! alone, at any core count, under capacity pressure, and when one session
+//! is split across two shards. (The mutex is what makes the tier shareable
+//! behind an `Arc`, not an ordering device: were whole shards ever served
+//! on threads of their own, disjoint sessions would still agree — block
+//! keys include the session id — but eviction order would not.)
 
 use guillotine_types::SessionId;
 use std::collections::{HashMap, VecDeque};
