@@ -182,6 +182,13 @@ impl<T> AdmissionController<T> {
         self.entries.iter().map(|e| (&e.stamp, &e.payload))
     }
 
+    /// The most recently admitted entry still queued. `submit` appends, so
+    /// right after a decision that admitted a request this is that request
+    /// — how a journal encodes an acked enqueue from the queue's own copy.
+    pub fn newest(&self) -> Option<(&EntryStamp, &T)> {
+        self.entries.last().map(|e| (&e.stamp, &e.payload))
+    }
+
     /// The raw counter the next [`TicketId`] will be minted from. Durable
     /// recovery snapshots this so a rebuilt queue never re-issues a ticket
     /// that was already acknowledged before the crash.

@@ -24,6 +24,7 @@
 //!   is scanning original bytes; a Unicode case conversion allocates and
 //!   shifts offsets. (`crates/scan/src/naive.rs`, the deliberately naive
 //!   reference implementation benchmarks compare against, is exempt.)
+//!   Also the per-request functions named under `no-string-alloc` below.
 //! * **`no-string-alloc`** — no fresh `String` allocation
 //!   (`String::new/from`, `to_string`, `to_owned`, `format!`) in the scan
 //!   engine proper (`crates/scan/src/lib.rs`) — scans must stay
@@ -33,7 +34,13 @@
 //!   `encode_into` / `frame_into` into one reused buffer, and a temporary
 //!   `String` per field is what made journaling the most expensive layer
 //!   of a request. (The snapshot-chain artifact dump in `store.rs` is the
-//!   reviewed exception.)
+//!   reviewed exception.) The rule also reaches *into* two files it does
+//!   not cover whole, function by function ([`PER_REQUEST_FNS`]): the
+//!   hypervisor's `screen_prompt` / `screen_response`, which see every
+//!   prompt and every response and must lend the text to the detectors
+//!   rather than copy it, and the front door's `submit_at` with its
+//!   `journal_enqueue`, which must encode an acked request from the queue's
+//!   own entry rather than build its wire form as a `String` first.
 //!
 //! # The `audit:allow` escape
 //!
@@ -77,6 +84,41 @@ const JOURNAL_WRITE_PATH: [&str; 4] = [
     "crates/journal/src/ticket_set.rs",
     "crates/journal/src/store.rs",
 ];
+
+/// Functions held to `no-string-alloc` and `no-case-alloc` inside files
+/// those rules do not cover whole: `(file, function names)`. Each runs once
+/// per request on the request's full text.
+pub const PER_REQUEST_FNS: [(&str, &[&str]); 2] = [
+    (
+        "crates/hv/src/hypervisor.rs",
+        &["screen_prompt", "screen_response"],
+    ),
+    (
+        "crates/core/src/admission.rs",
+        &["submit_at", "journal_enqueue"],
+    ),
+];
+
+/// Where in a file a rule applies.
+enum Scope {
+    /// Not at all.
+    Nowhere,
+    /// Every non-test line.
+    File,
+    /// Only inside the bodies of these functions.
+    Functions(&'static [&'static str]),
+}
+
+/// [`Scope::File`] when `whole`, else the file's [`PER_REQUEST_FNS`].
+fn whole_file_or_per_request_fns(whole: bool, rel: &str) -> Scope {
+    if whole {
+        return Scope::File;
+    }
+    PER_REQUEST_FNS
+        .iter()
+        .find(|(file, _)| *file == rel)
+        .map_or(Scope::Nowhere, |(_, names)| Scope::Functions(names))
+}
 
 /// One honoured suppression: `(file:line, rule)`.
 pub type Allow = (String, String);
@@ -327,12 +369,48 @@ fn test_lines(code: &str) -> Vec<bool> {
     excluded
 }
 
+/// Marks each line of `code` (comment-stripped source) inside the body of
+/// a function named in `names`, by brace matching from the `{` that
+/// follows `fn <name>`.
+fn fn_lines(code: &str, names: &[&str]) -> Vec<bool> {
+    let mut inside = vec![false; code.matches('\n').count() + 2];
+    for name in names {
+        let header = format!("fn {name}");
+        let mut from = 0usize;
+        while let Some(at) = code[from..].find(&header) {
+            let start = from + at;
+            from = start + header.len();
+            // `fn submit` must not claim `fn submit_at`.
+            if !code[from..].starts_with(['(', '<']) {
+                continue;
+            }
+            let mut depth = 0usize;
+            for (offset, c) in code[start..].char_indices() {
+                match c {
+                    '{' => depth += 1,
+                    '}' if depth == 1 => {
+                        let first = code[..start].matches('\n').count();
+                        let last = code[..start + offset].matches('\n').count();
+                        inside[first..=last].fill(true);
+                        break;
+                    }
+                    '}' => depth = depth.saturating_sub(1),
+                    // A declaration without a body (a trait method).
+                    ';' if depth == 0 => break,
+                    _ => {}
+                }
+            }
+        }
+    }
+    inside
+}
+
 /// One lint rule: where it applies and which tokens it forbids.
 struct Rule {
     name: &'static str,
     tokens: &'static [&'static str],
     advice: &'static str,
-    applies: fn(&str) -> bool,
+    scope: fn(&str) -> Scope,
 }
 
 const RULES: [Rule; 3] = [
@@ -347,16 +425,25 @@ const RULES: [Rule; 3] = [
             "unimplemented!",
         ],
         advice: "serve-path code must return GuillotineError, not panic",
-        applies: |rel| SERVE_PATH.contains(&rel),
+        scope: |rel| {
+            if SERVE_PATH.contains(&rel) {
+                Scope::File
+            } else {
+                Scope::Nowhere
+            }
+        },
     },
     Rule {
         name: "no-case-alloc",
         tokens: &["to_lowercase(", "to_uppercase("],
         advice: "scan/detect hot paths match original bytes; case conversion allocates \
                  and shifts offsets",
-        applies: |rel| {
-            (rel.starts_with("crates/scan/src") || rel.starts_with("crates/detect/src"))
-                && rel != "crates/scan/src/naive.rs"
+        scope: |rel| {
+            whole_file_or_per_request_fns(
+                (rel.starts_with("crates/scan/src") || rel.starts_with("crates/detect/src"))
+                    && rel != "crates/scan/src/naive.rs",
+                rel,
+            )
         },
     },
     Rule {
@@ -368,9 +455,14 @@ const RULES: [Rule; 3] = [
             ".to_owned(",
             "format!",
         ],
-        advice: "scans and journal encoding write into the caller's buffers; \
-                 no fresh String per call",
-        applies: |rel| rel == "crates/scan/src/lib.rs" || JOURNAL_WRITE_PATH.contains(&rel),
+        advice: "scans, screens and journal encoding borrow the text and write into the \
+                 caller's buffers; no fresh String per call",
+        scope: |rel| {
+            whole_file_or_per_request_fns(
+                rel == "crates/scan/src/lib.rs" || JOURNAL_WRITE_PATH.contains(&rel),
+                rel,
+            )
+        },
     },
 ];
 
@@ -398,7 +490,12 @@ pub fn lint_source(rel: &str, source: &str) -> LintOutcome {
             ));
         }
     };
-    for rule in RULES.iter().filter(|r| (r.applies)(rel)) {
+    for rule in &RULES {
+        let in_scope = match (rule.scope)(rel) {
+            Scope::Nowhere => continue,
+            Scope::File => None,
+            Scope::Functions(names) => Some(fn_lines(&code, names)),
+        };
         for token in rule.tokens {
             let mut from = 0usize;
             while let Some(at) = code[from..].find(token) {
@@ -406,6 +503,9 @@ pub fn lint_source(rel: &str, source: &str) -> LintOutcome {
                 from = offset + token.len();
                 let line = line_of(offset);
                 if *excluded.get(line - 1).unwrap_or(&false) {
+                    continue;
+                }
+                if in_scope.as_ref().is_some_and(|lines| !lines[line - 1]) {
                     continue;
                 }
                 report(
@@ -592,6 +692,36 @@ fn f() -> usize {
         }
         // Replay runs once per crash, not once per request.
         assert!(lint_source("crates/journal/src/replay.rs", source)
+            .findings
+            .is_empty());
+    }
+
+    #[test]
+    fn per_request_functions_are_held_to_the_alloc_rules_and_nothing_around_them() {
+        let source = "impl Hv {\n    pub fn screen_prompt(&mut self, text: &str) -> Verdict {\n        self.inspect(text.to_string())\n    }\n    fn screen_prompt_log(&self, text: &str) -> String {\n        text.to_lowercase()\n    }\n    pub fn screen_response<'t>(&mut self, text: &'t str) -> String {\n        if text.is_empty() {\n            return format!(\"{}\", 0);\n        }\n        text.to_uppercase()\n    }\n}\n";
+        let outcome = lint_source("crates/hv/src/hypervisor.rs", source);
+        let found: Vec<(&str, &str)> = outcome
+            .findings
+            .iter()
+            .map(|f| (f.category, f.location.as_str()))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                ("no-case-alloc", "crates/hv/src/hypervisor.rs:12"),
+                ("no-string-alloc", "crates/hv/src/hypervisor.rs:3"),
+                ("no-string-alloc", "crates/hv/src/hypervisor.rs:10"),
+            ]
+        );
+        // The front door's admission path likewise; other files not at all.
+        let submit = "fn submit_at(r: Request) {\n    journal(r.to_string());\n}\nfn report() -> String {\n    String::new()\n}\n";
+        let outcome = lint_source("crates/core/src/admission.rs", submit);
+        assert_eq!(outcome.findings.len(), 1, "{:?}", outcome.findings);
+        assert_eq!(
+            outcome.findings[0].location,
+            "crates/core/src/admission.rs:2"
+        );
+        assert!(lint_source("crates/core/src/report.rs", submit)
             .findings
             .is_empty());
     }

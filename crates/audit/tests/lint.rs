@@ -2,6 +2,7 @@
 //! must be clean, and the walker must find findings a single-file scan
 //! would.
 
+use guillotine_audit::lint::PER_REQUEST_FNS;
 use guillotine_audit::lint_repo;
 use std::path::Path;
 
@@ -42,12 +43,29 @@ fn working_tree_is_lint_clean() {
     }
 }
 
+/// The alloc rules reach into `hv`'s screens and the front door's
+/// admission path by function name; a rename there would silently drop the
+/// function from the lint, so every name must still be found.
+#[test]
+fn per_request_functions_exist_where_the_lint_looks() {
+    for (file, names) in PER_REQUEST_FNS {
+        let source = std::fs::read_to_string(repo_root().join(file)).expect("linted file");
+        for name in names {
+            assert!(
+                source.contains(&format!("fn {name}(")) || source.contains(&format!("fn {name}<")),
+                "{file} no longer defines `{name}`"
+            );
+        }
+    }
+}
+
 /// The known, reviewed suppressions: the compile-time Unicode case-variant
 /// expansion, the journal store's CI artifact dump (`dump_snapshots` — it
 /// builds a `String` to hand to a file writer, off the append/snapshot
-/// path), and nothing on the serve path (the fleet's
-/// one batch driver borrows its requests, so there is no slot to take). If
-/// this list grows, the new entry was either justified in review or someone
+/// path), and nothing on the serve path (the fleet's one batch driver
+/// borrows its requests, so there is no slot to take; the hypervisor's
+/// screens and the front door's `submit_at` came under `no-string-alloc`
+/// needing no escape). If this list grows, the new entry was either justified in review or someone
 /// is bypassing the gate — either way it should show up in a test diff.
 #[test]
 fn suppression_inventory_is_exactly_the_reviewed_set() {

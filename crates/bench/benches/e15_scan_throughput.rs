@@ -13,16 +13,25 @@
 //!    (replicated below, verbatim), one running the automaton-backed
 //!    `InputShield`/`OutputSanitizer`. Asserted ≥1.5x; the measured win is
 //!    printed so the trajectory lands in the BENCH output.
+//! 3. **Per-byte kernel costs** — ns/byte of the four kernels every
+//!    control-plane byte passes through (`Matcher::scan`, the streaming
+//!    sanitizer in 32-byte chunks, `crc32`, `Escaped`), printed and written
+//!    to `BENCH_e15.json` for the trajectory; no wall-clock bar (those
+//!    flake). What *is* asserted is deterministic: the streaming
+//!    sanitizer's scanned-bytes witness equals the bytes pushed, i.e. the
+//!    chunked path walks each byte once, like the whole-string scan.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use guillotine::deployment::GuillotineDeployment;
 use guillotine::serve::ServeRequest;
 use guillotine::DeploymentBuilder;
 use guillotine_detect::{
-    Detector, ForbiddenCategory, InputShield, ModelObservation, OutputSanitizer, RecommendedAction,
-    Verdict,
+    CompiledCategories, Detector, ForbiddenCategory, InputShield, ModelObservation,
+    OutputSanitizer, RecommendedAction, StreamingSanitizer, Verdict,
 };
 use guillotine_scan::{naive, Matcher};
+use guillotine_types::encode::{crc32, push_escaped};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -342,8 +351,66 @@ fn bench(c: &mut Criterion) {
         e2e_speedup >= 1.5,
         "end-to-end serve_batch win must be >=1.5x, got {e2e_speedup:.2}x"
     );
+    // ---- Per-byte kernel costs over the same prompts. ----
+    let bytes: usize = texts.iter().map(String::len).sum();
+    let per_byte = |elapsed: Duration| elapsed.as_nanos() as f64 / bytes as f64;
+    let categories = Arc::new(CompiledCategories::standard());
+    let scan_ns = per_byte(measure(20, || {
+        for text in &texts {
+            categories.matcher().scan(text, |m| {
+                black_box(m);
+                true
+            });
+        }
+    }));
+    // 32 bytes is what eight decode tokens materialize per chunk.
+    let stream_in_chunks = |text: &str| {
+        let mut stream = StreamingSanitizer::new(Arc::clone(&categories));
+        for chunk in text.as_bytes().chunks(32) {
+            // The prompts are ASCII, so any cut is a character boundary.
+            black_box(stream.push(std::str::from_utf8(chunk).unwrap()));
+        }
+        black_box(stream.finish());
+        stream.scanned_bytes()
+    };
+    for text in &texts {
+        assert_eq!(
+            stream_in_chunks(text),
+            text.len() as u64,
+            "the chunked sanitizer must scan each pushed byte exactly once"
+        );
+    }
+    let stream_ns = per_byte(measure(20, || {
+        for text in &texts {
+            black_box(stream_in_chunks(text));
+        }
+    }));
+    let crc_ns = per_byte(measure(20, || {
+        for text in &texts {
+            black_box(crc32(text.as_bytes()));
+        }
+    }));
+    let mut escaped = String::with_capacity(2 * texts[0].len());
+    let escape_ns = per_byte(measure(20, || {
+        for text in &texts {
+            escaped.clear();
+            push_escaped(&mut escaped, text);
+            black_box(&escaped);
+        }
+    }));
+    println!(
+        "e15: per-byte kernels (64x{}B) scan {scan_ns:.2} ns/B, 32B-chunk streaming sanitizer \
+         {stream_ns:.2} ns/B, crc32 {crc_ns:.2} ns/B, escape {escape_ns:.2} ns/B; \
+         chunked bytes scanned == bytes pushed",
+        texts[0].len(),
+    );
+
     guillotine_bench::BenchJson::new("e15", "scan_throughput")
         .metric("patterns", patterns.len() as f64)
+        .metric("scan_ns_per_byte", scan_ns)
+        .metric("stream_sanitize_32b_ns_per_byte", stream_ns)
+        .metric("crc32_ns_per_byte", crc_ns)
+        .metric("escape_ns_per_byte", escape_ns)
         .metric("naive_scan_s", naive_scan.as_secs_f64())
         .metric("automaton_scan_s", automaton_scan.as_secs_f64())
         .metric("naive_batch_s", naive_batch.as_secs_f64())

@@ -465,13 +465,6 @@ impl FrontDoor {
         let deadline = deadline
             .or(self.default_deadline)
             .map(|budget| arrival.saturating_add(budget));
-        // The journal needs the request's wire form, and `submit` consumes
-        // the request — encode first.
-        let wire = if self.journal.is_some() {
-            Some(request.to_wire())
-        } else {
-            None
-        };
         let decision = self
             .controller
             .submit(request, session, class, deadline, arrival);
@@ -484,18 +477,7 @@ impl FrontDoor {
             AdmissionDecision::Enqueued { ticket, .. } => {
                 self.note_enqueued(ticket);
                 self.telemetry_admit(ticket, arrival);
-                if let Some(payload) = wire {
-                    self.journal_append(&WalRecord::Enqueue {
-                        stamp: EntryStamp {
-                            ticket,
-                            session,
-                            class,
-                            arrival,
-                            deadline,
-                        },
-                        payload,
-                    });
-                }
+                self.journal_enqueue();
             }
             AdmissionDecision::Shed {
                 victim, admitted, ..
@@ -520,19 +502,8 @@ impl FrontDoor {
                         });
                     }
                     self.telemetry_admit(ticket, arrival);
-                    if let Some(payload) = wire {
-                        self.journal_append(&WalRecord::Shed { ticket: victim });
-                        self.journal_append(&WalRecord::Enqueue {
-                            stamp: EntryStamp {
-                                ticket,
-                                session,
-                                class,
-                                arrival,
-                                deadline,
-                            },
-                            payload,
-                        });
-                    }
+                    self.journal_append(&WalRecord::Shed { ticket: victim });
+                    self.journal_enqueue();
                 }
             }
             AdmissionDecision::Refused { .. } => {
@@ -927,6 +898,18 @@ impl FrontDoor {
     fn journal_append(&mut self, record: &WalRecord) {
         if let Some(journal) = self.journal.as_mut() {
             journal.store.append(record);
+        }
+    }
+
+    /// Commits the enqueue record of the request `submit` just admitted,
+    /// when journaling is on. The controller consumed the request, so the
+    /// record is encoded from the queue's own entry — stamp and wire form
+    /// written once, straight into the log's buffer.
+    fn journal_enqueue(&mut self) {
+        if let (Some(journal), Some((stamp, request))) =
+            (self.journal.as_mut(), self.controller.newest())
+        {
+            journal.store.append_enqueue(stamp, request.wire());
         }
     }
 

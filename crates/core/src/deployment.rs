@@ -19,7 +19,7 @@ use guillotine_hv::{
 use guillotine_hw::{Machine, MachineConfig};
 use guillotine_model::{
     decode_byte_target, decode_tokens, prompt_tokens, simulated_answer, BatchedForwardPass,
-    KvLookup, KvTier, KvTierStats, PendingSweep, PrefillJob,
+    DecodeSchedule, KvLookup, KvTier, KvTierStats, PendingSweep, PrefillJob,
 };
 use guillotine_net::{Endpoint, Network, NetworkConfig, Packet, RegulatorCa};
 use guillotine_physical::quorum::{AdminSet, VoteKind};
@@ -35,6 +35,7 @@ use guillotine_types::{
     AdminId, DeviceId, GuillotineError, MachineId, ModelId, PortId, Result, SimClock, SimDuration,
     SimInstant,
 };
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Node names used in the deployment's network.
@@ -870,6 +871,10 @@ impl GuillotineDeployment {
             answer: String,
             total: u64,
             decoded: u64,
+            /// Decode latency billed so far: the schedule's prefix at
+            /// `decoded`.
+            billed: SimDuration,
+            schedule: DecodeSchedule,
             cursor: usize,
             sanitizer: Option<StreamingSanitizer>,
             chunks: Vec<StreamChunk>,
@@ -879,17 +884,21 @@ impl GuillotineDeployment {
             .iter()
             .map(|&i| {
                 let answer = simulated_answer(&requests[i].prompt);
+                let total = decode_tokens(&answer);
                 StreamState {
                     slot: i,
-                    total: decode_tokens(&answer),
+                    total,
                     answer,
                     decoded: 0,
+                    billed: SimDuration::ZERO,
+                    schedule: self.forward.decode_schedule(total),
                     cursor: 0,
                     sanitizer: self
                         .stream_categories
                         .as_ref()
                         .map(|compiled| StreamingSanitizer::new(Arc::clone(compiled))),
-                    chunks: Vec::new(),
+                    // One chunk per decode round, plus the final flush.
+                    chunks: Vec::with_capacity(total.div_ceil(chunk_tokens) as usize + 1),
                     done: false,
                 }
             })
@@ -908,16 +917,12 @@ impl GuillotineDeployment {
                     continue;
                 }
                 let step = chunk_tokens.min(stream.total - stream.decoded);
-                let before = self
-                    .forward
-                    .decode_prefix_latency(stream.decoded, stream.total);
-                let after = self
-                    .forward
-                    .decode_prefix_latency(stream.decoded + step, stream.total);
+                let after = stream.schedule.prefix(stream.decoded + step);
                 // Monotone by construction, so the subtraction cannot wrap;
                 // the deltas telescope to the exact per-sequence decode
                 // latency when the stream runs to completion.
-                let delta = SimDuration::from_nanos(after.as_nanos() - before.as_nanos());
+                let delta = SimDuration::from_nanos(after.as_nanos() - stream.billed.as_nanos());
+                stream.billed = after;
                 let chunk_start = self.clock.now();
                 self.clock.advance(delta);
                 if self.tracer.is_enabled() {
@@ -989,8 +994,15 @@ impl GuillotineDeployment {
                     now,
                     String::new(),
                 );
-                let (mut delivered, verdict) =
-                    self.hypervisor.screen_response(&streams[k].answer, now);
+                let (delivered, verdict) = self.hypervisor.screen_response(&streams[k].answer, now);
+                // Borrowed text is the answer itself (or nothing at all): a
+                // response nobody redacted is moved into its slot, never
+                // copied.
+                let mut delivered = match delivered {
+                    Cow::Owned(redacted) => redacted,
+                    Cow::Borrowed("") => String::new(),
+                    Cow::Borrowed(_) => std::mem::take(&mut streams[k].answer),
+                };
                 slots[i].latency.output_screen = OUTPUT_SCREEN_LATENCY;
                 let escalates = verdict.flagged && verdict.action >= RecommendedAction::Sever;
                 if escalates {

@@ -832,12 +832,12 @@ pub fn e8_detectors(n: usize, adversarial_fraction: f64, seed: u64) -> DetectorR
         for obs in [
             ModelObservation::Prompt {
                 model,
-                text: request.prompt.clone(),
+                text: request.prompt.as_str().into(),
             },
             ModelObservation::Activations { model, trace },
             ModelObservation::Response {
                 model,
-                text: response,
+                text: response.as_str().into(),
             },
         ] {
             if detector.inspect(&obs).flagged {

@@ -183,7 +183,7 @@ mod tests {
     use super::*;
     use guillotine_types::ModelId;
 
-    fn stats_obs(interrupt_rate: f64, faults: u64, outbound: u64) -> ModelObservation {
+    fn stats_obs(interrupt_rate: f64, faults: u64, outbound: u64) -> ModelObservation<'static> {
         ModelObservation::Stats {
             model: ModelId::new(0),
             stats: SystemStats {

@@ -104,7 +104,7 @@ mod tests {
     use crate::observation::{ActivationStep, ActivationTrace};
     use guillotine_types::ModelId;
 
-    fn obs(regions: &[(u32, f64)]) -> ModelObservation {
+    fn obs(regions: &[(u32, f64)]) -> ModelObservation<'static> {
         ModelObservation::Activations {
             model: ModelId::new(0),
             trace: ActivationTrace::new(

@@ -258,14 +258,8 @@ impl InputShield {
     /// together. This is the only scan on the serving hot path; both
     /// [`InputShield::score`] and the verdict built by `inspect` share it.
     pub fn scan(&self, text: &str) -> ShieldScan {
-        // Allow-fast: the benign majority exits on the first-hit probe with
-        // no per-pattern bookkeeping allocated at all.
-        if self.first_hit(text).is_none() {
-            return ShieldScan {
-                score: 0.0,
-                matched_rules: 0,
-            };
-        }
+        // One pass whatever the prompt holds: the benign majority allocates
+        // nothing (`matched_ids` builds its hit table at the first hit).
         let matched = self.compiled.matcher.matched_ids(text);
         let mut score: f64 = 0.0;
         let mut matched_rules = 0;
@@ -335,7 +329,7 @@ mod tests {
     use super::*;
     use guillotine_types::ModelId;
 
-    fn prompt(text: &str) -> ModelObservation {
+    fn prompt(text: &str) -> ModelObservation<'_> {
         ModelObservation::Prompt {
             model: ModelId::new(0),
             text: text.into(),

@@ -2,6 +2,7 @@
 
 use guillotine_types::ModelId;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// One step of a (simulated) forward pass: which region of the weight graph
 /// was visited and how strongly it activated.
@@ -68,21 +69,25 @@ pub struct SystemStats {
 }
 
 /// One observation about a sandboxed model, produced by the hypervisor.
+///
+/// Prompt and response text is borrowed from whoever holds it: the
+/// hypervisor screens every prompt and every response, and an observation
+/// only lives for the `inspect` call it is handed to.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ModelObservation {
+pub enum ModelObservation<'a> {
     /// An inbound prompt (or other request payload) delivered to the model.
     Prompt {
         /// The model receiving the prompt.
         model: ModelId,
         /// Prompt text.
-        text: String,
+        text: Cow<'a, str>,
     },
     /// An outbound response produced by the model.
     Response {
         /// The model producing the response.
         model: ModelId,
         /// Response text.
-        text: String,
+        text: Cow<'a, str>,
     },
     /// The activation trace of one forward pass, read over the private bus.
     Activations {
@@ -100,7 +105,7 @@ pub enum ModelObservation {
     },
 }
 
-impl ModelObservation {
+impl ModelObservation<'_> {
     /// The model this observation is about.
     pub fn model(&self) -> ModelId {
         match self {

@@ -17,6 +17,7 @@ use crate::observation::ModelObservation;
 use crate::verdict::{Detector, RecommendedAction, Verdict};
 use guillotine_scan::{Matcher, MatcherBuilder};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Markers shorter than this many bytes only match at word boundaries;
@@ -232,19 +233,23 @@ impl OutputSanitizer {
     /// original bytes (ASCII case folding never shifts offsets), so
     /// non-ASCII text around markers survives intact — unlike the old
     /// lowercase-shadow scan, which misaligned on text like `"İ"`.
-    pub fn sanitize(&self, text: &str) -> (String, Vec<String>, f64) {
-        // Clean-fast: the common clean response exits on a single DFA pass
-        // that stops at the first hit, allocating nothing.
-        if self.compiled.matcher.find_earliest(text).is_none() {
-            return (text.to_string(), Vec::new(), 0.0);
-        }
+    ///
+    /// Clean text — the common case — comes back borrowed: the pass
+    /// collects nothing until the first hit, so it allocates nothing.
+    pub fn sanitize<'t>(&self, text: &'t str) -> (Cow<'t, str>, Vec<String>, f64) {
         let mut spans: Vec<(usize, usize)> = Vec::new();
-        let mut category_hit = vec![false; self.compiled.categories.len()];
+        let mut category_hit: Vec<bool> = Vec::new();
         self.compiled.matcher.scan(text, |m| {
+            if category_hit.is_empty() {
+                category_hit = vec![false; self.compiled.categories.len()];
+            }
             category_hit[self.compiled.marker_category[m.pattern]] = true;
             spans.push((m.start, m.end));
             true
         });
+        if spans.is_empty() {
+            return (Cow::Borrowed(text), Vec::new(), 0.0);
+        }
         let mut matched = Vec::new();
         let mut severity: f64 = 0.0;
         for (category, hit) in self.compiled.categories.iter().zip(&category_hit) {
@@ -252,9 +257,6 @@ impl OutputSanitizer {
                 matched.push(category.name.clone());
                 severity = severity.max(category.severity);
             }
-        }
-        if spans.is_empty() {
-            return (text.to_string(), matched, severity);
         }
         // Merge overlapping spans, then splice: original text between spans,
         // one redaction marker per merged span.
@@ -282,7 +284,7 @@ impl OutputSanitizer {
             cursor = p_end;
         }
         clean.push_str(&text[cursor..]);
-        (clean, matched, severity)
+        (Cow::Owned(clean), matched, severity)
     }
 }
 
@@ -326,7 +328,7 @@ mod tests {
     use super::*;
     use guillotine_types::ModelId;
 
-    fn response(text: &str) -> ModelObservation {
+    fn response(text: &str) -> ModelObservation<'_> {
         ModelObservation::Response {
             model: ModelId::new(0),
             text: text.into(),

@@ -145,7 +145,7 @@ mod tests {
         )
     }
 
-    fn obs(t: ActivationTrace) -> ModelObservation {
+    fn obs(t: ActivationTrace) -> ModelObservation<'static> {
         ModelObservation::Activations {
             model: ModelId::new(0),
             trace: t,

@@ -19,14 +19,23 @@
 //! categories), and a seam landing inside a multi-byte UTF-8 character
 //! keeps that character whole (at most three extra bytes).
 //!
+//! The buffer is withheld *text*, not unscanned text: the automaton's state
+//! is carried across the seam ([`Matcher::scan_window`] resumes from it),
+//! so every pushed byte is walked exactly once however small the chunks
+//! are. The carried bytes stay only to be emitted later and to answer the
+//! word-boundary and UTF-8 questions a match that began in them asks.
+//!
 //! A redaction *group* — overlapping marker spans merge into one redaction,
 //! exactly as `sanitize` merges them — can grow longer than any single
 //! pattern, but its bytes are not buffered: once a group's start is
 //! settled, the sanitizer remembers only the group's current end (the text
 //! is going to be replaced by one redaction marker regardless), so the
 //! buffer stays bounded even while a chained overlap is in flight.
+//!
+//! [`Matcher::scan_window`]: guillotine_scan::Matcher::scan_window
 
 use crate::output_sanitizer::{CompiledCategories, OutputSanitizer};
+use guillotine_scan::ScanState;
 use std::sync::Arc;
 
 /// True for bytes that extend an ASCII word, mirroring the automaton's
@@ -59,8 +68,8 @@ fn snap_down(s: &str, mut i: usize) -> usize {
 #[derive(Debug, Clone)]
 pub struct StreamingSanitizer {
     compiled: Arc<CompiledCategories>,
-    /// Unresolved stream suffix: the bytes at absolute positions
-    /// `[tail_offset, total)`.
+    /// Withheld stream suffix: the bytes at absolute positions
+    /// `[tail_offset, total)`, all of them already scanned.
     tail: String,
     /// Absolute stream offset of `tail`'s first byte.
     tail_offset: usize,
@@ -69,12 +78,22 @@ pub struct StreamingSanitizer {
     /// Whether the byte just before `tail` is an ASCII word byte (`false`
     /// at the start of the stream), so word-boundary checks survive trims.
     prev_is_word: bool,
+    /// The automaton's state after the last pushed byte.
+    state: ScanState,
+    /// Confirmed marker spans (absolute) that start at or past the last
+    /// frontier: found, but not yet part of an emitted or open group.
+    spans: Vec<(usize, usize)>,
+    /// Word-bounded matches `(pattern, start)` ending flush with the last
+    /// pushed byte: the next byte (or the end of the stream) decides them.
+    tentative: Vec<(usize, usize)>,
     /// Absolute end of a redaction group whose marker is still pending:
     /// its clean prefix is emitted, its bytes up to `tail_offset` dropped,
     /// and later matches starting before this end still extend it.
     open_end: Option<usize>,
     /// Which categories have had a marker confirmed so far.
     category_hit: Vec<bool>,
+    /// Bytes fed to the automaton so far.
+    scanned: u64,
     finished: bool,
 }
 
@@ -88,8 +107,12 @@ impl StreamingSanitizer {
             tail_offset: 0,
             total: 0,
             prev_is_word: false,
+            state: ScanState::default(),
+            spans: Vec::new(),
+            tentative: Vec::new(),
             open_end: None,
             category_hit: vec![false; categories],
+            scanned: 0,
             finished: false,
         }
     }
@@ -98,9 +121,10 @@ impl StreamingSanitizer {
     /// now settled (possibly empty — the seam buffer may withhold bytes).
     pub fn push(&mut self, chunk: &str) -> String {
         debug_assert!(!self.finished, "push after finish");
+        let scanned_to = self.tail.len();
         self.tail.push_str(chunk);
         self.total += chunk.len();
-        self.resolve(false)
+        self.resolve(scanned_to, false)
     }
 
     /// Declares the end of the stream, flushing the carry-over buffer and
@@ -108,12 +132,19 @@ impl StreamingSanitizer {
     /// called afterwards.
     pub fn finish(&mut self) -> String {
         self.finished = true;
-        self.resolve(true)
+        self.resolve(self.tail.len(), true)
     }
 
     /// Bytes currently withheld at the seam (the carry-over buffer).
     pub fn carry_len(&self) -> usize {
         self.tail.len()
+    }
+
+    /// Bytes the automaton has walked so far: the single-scan witness,
+    /// equal to the bytes pushed whatever the chunking.
+    #[doc(hidden)]
+    pub fn scanned_bytes(&self) -> u64 {
+        self.scanned
     }
 
     /// Names of the categories whose markers have been confirmed so far, in
@@ -138,115 +169,144 @@ impl StreamingSanitizer {
             .fold(0.0_f64, |acc, (category, _)| acc.max(category.severity))
     }
 
-    /// One resolution pass: scan the unresolved tail, settle everything
-    /// left of the frontier, emit its clean text and closed redaction
-    /// groups, and trim the tail to the frontier.
-    fn resolve(&mut self, at_end: bool) -> String {
-        let compiled = Arc::clone(&self.compiled);
+    /// One resolution pass: scan `tail[scanned_to..]` (the bytes just
+    /// pushed) from the carried automaton state, settle everything left of
+    /// the frontier, emit its clean text and closed redaction groups, and
+    /// trim the tail to the frontier.
+    fn resolve(&mut self, scanned_to: usize, at_end: bool) -> String {
+        let StreamingSanitizer {
+            compiled,
+            tail,
+            spans,
+            tentative,
+            category_hit,
+            ..
+        } = self;
         let matcher = compiled.matcher();
         let max_len = matcher.max_pattern_len();
         let base = self.tail_offset;
         let total = self.total;
 
-        // The frontier: the absolute position left of which this pass is
-        // authoritative. Any future match ends past `total`, so it starts
-        // at or after `total + 1 - max_len`; a tentative (seam-flush
-        // word-bounded) match holds the frontier back to its own start.
-        let mut frontier = if at_end || max_len == 0 {
-            total
-        } else {
-            base.max((total + 1).saturating_sub(max_len))
-        };
-
-        let mut spans: Vec<(usize, usize)> = Vec::new();
-        if max_len > 0 && !self.tail.is_empty() {
-            let mut tentative_min: Option<usize> = None;
-            let hits = &mut self.category_hit;
-            matcher.scan_window(&self.tail, self.prev_is_word, at_end, |m, tentative| {
-                if tentative {
-                    let start = base + m.start;
-                    tentative_min = Some(tentative_min.map_or(start, |t| t.min(start)));
+        // The byte after a seam-flush word-bounded match has arrived (or
+        // never will): the match stands unless that byte extends the word.
+        if at_end || scanned_to < tail.len() {
+            let extends_word = tail
+                .as_bytes()
+                .get(scanned_to)
+                .is_some_and(|&b| is_word_byte(b));
+            for (pattern, start) in tentative.drain(..) {
+                if !extends_word {
+                    category_hit[compiled.category_of_pattern(pattern)] = true;
+                    spans.push((start, base + scanned_to));
+                }
+            }
+        }
+        self.state = matcher.scan_window(
+            tail,
+            scanned_to,
+            self.state,
+            self.prev_is_word,
+            at_end,
+            |m, is_tentative| {
+                if is_tentative {
+                    tentative.push((m.pattern, base + m.start));
                 } else {
-                    hits[compiled.category_of_pattern(m.pattern)] = true;
+                    category_hit[compiled.category_of_pattern(m.pattern)] = true;
                     spans.push((base + m.start, base + m.end));
                 }
                 true
-            });
-            if let Some(t) = tentative_min {
-                frontier = frontier.min(t);
-            }
-        }
-        // Never split a UTF-8 character at the seam.
-        frontier = base + snap_down(&self.tail, frontier - base);
+            },
+        );
+        self.scanned += (tail.len() - scanned_to) as u64;
 
-        // Merge confirmed spans into disjoint groups, exactly as
-        // `OutputSanitizer::sanitize` merges them: overlap (`start < end`)
-        // merges, touching spans stay separate. A `None` start marks the
-        // carried-over open group, whose pre-group text is already out.
-        spans.sort_unstable();
-        let mut groups: Vec<(Option<usize>, usize)> = Vec::new();
-        for (start, end) in spans {
-            match groups.last_mut() {
-                Some((_, group_end)) if start < *group_end => {
-                    *group_end = (*group_end).max(end);
-                }
-                _ => groups.push((Some(start), end)),
-            }
+        // The frontier: the absolute position left of which this pass is
+        // authoritative. Any future match ends past `total`, so it starts
+        // at or after `total + 1 - max_len`; a tentative match holds the
+        // frontier back to its own start. Never split a UTF-8 character.
+        let mut frontier = if at_end {
+            total
+        } else {
+            total.saturating_sub(max_len.saturating_sub(1)).max(base)
+        };
+        if let Some(earliest) = tentative.iter().map(|&(_, start)| start).min() {
+            frontier = frontier.min(earliest);
         }
-        if let Some(open) = self.open_end.take() {
-            let mut end = open;
-            let mut absorbed = 0;
-            for (group_start, group_end) in &groups {
-                if group_start.unwrap_or(0) < end {
-                    end = end.max(*group_end);
-                    absorbed += 1;
-                } else {
-                    break;
-                }
-            }
-            groups.drain(..absorbed);
-            groups.insert(0, (None, end));
-        }
+        frontier = base + snap_down(tail, frontier - base);
 
-        // Emit: clean text and redactions left of the frontier settle now;
-        // the first group reaching past it either stays open (start
-        // settled, end still growable) or waits whole for the next pass.
         let mut out = String::new();
-        let mut cursor = base;
-        for (group_start, group_end) in groups {
-            if group_end <= frontier {
-                if let Some(start) = group_start {
-                    out.push_str(&self.tail[cursor - base..start - base]);
+        if spans.is_empty() && self.open_end.is_none() {
+            // Nothing to redact in sight: the settled text is clean.
+            out.push_str(&tail[..frontier - base]);
+        } else {
+            // Merge confirmed spans into disjoint groups, exactly as
+            // `OutputSanitizer::sanitize` merges them: overlap (`start <
+            // end`) merges, touching spans stay separate. A `None` start
+            // marks the carried-over open group, whose pre-group text is
+            // already out.
+            spans.sort_unstable();
+            let mut groups: Vec<(Option<usize>, usize)> = Vec::new();
+            for &(start, end) in spans.iter() {
+                match groups.last_mut() {
+                    Some((_, group_end)) if start < *group_end => {
+                        *group_end = (*group_end).max(end);
+                    }
+                    _ => groups.push((Some(start), end)),
                 }
-                out.push_str(OutputSanitizer::REDACTION);
-                cursor = group_end;
-            } else {
+            }
+            if let Some(open) = self.open_end.take() {
+                let mut end = open;
+                let mut absorbed = 0;
+                for (group_start, group_end) in &groups {
+                    if group_start.unwrap_or(0) < end {
+                        end = end.max(*group_end);
+                        absorbed += 1;
+                    } else {
+                        break;
+                    }
+                }
+                groups.drain(..absorbed);
+                groups.insert(0, (None, end));
+            }
+
+            // Emit: clean text and redactions left of the frontier settle
+            // now; the first group reaching past it either stays open
+            // (start settled, end still growable) or waits whole — its
+            // spans, and those of every group after it, stay in `spans`.
+            let mut cursor = base;
+            let mut waiting_from = usize::MAX;
+            for (group_start, group_end) in groups {
+                if group_end <= frontier {
+                    if let Some(start) = group_start {
+                        out.push_str(&tail[cursor - base..start - base]);
+                    }
+                    out.push_str(OutputSanitizer::REDACTION);
+                    cursor = group_end;
+                    continue;
+                }
                 match group_start {
-                    None => {
+                    Some(start) if start >= frontier => waiting_from = start,
+                    _ => {
+                        if let Some(start) = group_start {
+                            out.push_str(&tail[cursor - base..start - base]);
+                        }
                         self.open_end = Some(group_end);
                         cursor = frontier;
+                        waiting_from = group_end;
                     }
-                    Some(start) if start < frontier => {
-                        out.push_str(&self.tail[cursor - base..start - base]);
-                        self.open_end = Some(group_end);
-                        cursor = frontier;
-                    }
-                    // Entirely past the frontier: its bytes stay in the
-                    // tail and the next pass re-finds it.
-                    Some(_) => {}
                 }
                 break;
             }
-        }
-        if cursor < frontier {
-            out.push_str(&self.tail[cursor - base..frontier - base]);
+            if cursor < frontier {
+                out.push_str(&tail[cursor - base..frontier - base]);
+            }
+            spans.retain(|&(start, _)| start >= waiting_from);
         }
 
         // Trim the tail to the frontier, preserving word context.
         if frontier > base {
             let cut = frontier - base;
-            self.prev_is_word = is_word_byte(self.tail.as_bytes()[cut - 1]);
-            self.tail.drain(..cut);
+            self.prev_is_word = is_word_byte(tail.as_bytes()[cut - 1]);
+            tail.drain(..cut);
             self.tail_offset = frontier;
         }
         out
@@ -264,6 +324,9 @@ mod tests {
 
     /// Runs `text` through a fresh streaming sanitizer in `chunk`-byte
     /// slices (snapped to char boundaries) and returns the concatenation.
+    /// Whatever the chunking, the automaton must have walked each pushed
+    /// byte exactly once: a sanitizer that re-scanned its carry-over would
+    /// count every seam's `max_pattern_len - 1` bytes again.
     fn stream_in_chunks(compiled: &Arc<CompiledCategories>, text: &str, chunk: usize) -> String {
         let mut s = StreamingSanitizer::new(Arc::clone(compiled));
         let mut out = String::new();
@@ -278,6 +341,7 @@ mod tests {
             start = end;
         }
         out.push_str(&s.finish());
+        assert_eq!(s.scanned_bytes(), text.len() as u64, "chunk {chunk}");
         out
     }
 
@@ -293,6 +357,9 @@ mod tests {
             "use vx. then VX gas, but devx tooling is fine",
             "the synthesis route", // marker flush with end of stream
             "vx",                  // word-bounded marker IS the stream
+            // Long enough for many 7- and 32-byte seams.
+            "İİ a long benign paragraph with a password: secret in it, use vx. and a \
+             synthesis route cut mid-marker, devx tooling, then filler to roll the buffer İİ",
         ];
         for text in texts {
             let (want, _, _) = reference.sanitize(text);

@@ -31,7 +31,7 @@ proptest! {
         let mut shield = InputShield::new();
         let verdict = shield.inspect(&ModelObservation::Prompt {
             model: ModelId::new(0),
-            text,
+            text: text.into(),
         });
         prop_assert!((0.0..=1.0).contains(&verdict.score));
     }

@@ -11,6 +11,7 @@ use guillotine_types::{
     AuditSeverity, ConnectionId, DeviceId, EventKind, GuillotineError, ModelId, PortId, Result,
     SimDuration, SimInstant,
 };
+use std::borrow::Cow;
 
 /// Configuration of one software-hypervisor instance.
 #[derive(Debug, Clone)]
@@ -324,10 +325,9 @@ impl SoftwareHypervisor {
         // Detector pass over outbound payloads (the model's outputs).
         let mut payload = request.payload.clone();
         if outbound {
-            let text = String::from_utf8_lossy(&payload).into_owned();
             let verdict = self.detector.inspect(&ModelObservation::Response {
                 model: self.config.model,
-                text,
+                text: String::from_utf8_lossy(&payload),
             });
             if verdict.flagged {
                 report.flagged += 1;
@@ -413,7 +413,7 @@ impl SoftwareHypervisor {
     pub fn screen_prompt(&mut self, text: &str, now: SimInstant) -> Verdict {
         let verdict = self.detector.inspect(&ModelObservation::Prompt {
             model: self.config.model,
-            text: text.to_string(),
+            text: Cow::Borrowed(text),
         });
         if verdict.flagged {
             self.record_verdict(&verdict, now);
@@ -423,20 +423,28 @@ impl SoftwareHypervisor {
 
     /// Screens an outbound response; returns the text to actually deliver
     /// (sanitized if necessary) plus the verdict.
-    pub fn screen_response(&mut self, text: &str, now: SimInstant) -> (String, Verdict) {
+    ///
+    /// Nothing is copied unless something was redacted: borrowed text is
+    /// `text` itself, passed through untouched, or empty for a response
+    /// that must not be delivered at all; only a redacted replacement comes
+    /// back owned.
+    pub fn screen_response<'t>(
+        &mut self,
+        text: &'t str,
+        now: SimInstant,
+    ) -> (Cow<'t, str>, Verdict) {
         let verdict = self.detector.inspect(&ModelObservation::Response {
             model: self.config.model,
-            text: text.to_string(),
+            text: Cow::Borrowed(text),
         });
-        let delivered = if verdict.flagged {
-            self.record_verdict(&verdict, now);
-            match (&verdict.action, &verdict.replacement) {
-                (RecommendedAction::Sanitize, Some(replacement)) => replacement.clone(),
-                (RecommendedAction::Allow, _) => text.to_string(),
-                _ => String::new(),
-            }
-        } else {
-            text.to_string()
+        if !verdict.flagged {
+            return (Cow::Borrowed(text), verdict);
+        }
+        self.record_verdict(&verdict, now);
+        let delivered = match (&verdict.action, &verdict.replacement) {
+            (RecommendedAction::Sanitize, Some(replacement)) => Cow::Owned(replacement.clone()),
+            (RecommendedAction::Allow, _) => Cow::Borrowed(text),
+            _ => Cow::Borrowed(""),
         };
         (delivered, verdict)
     }

@@ -70,6 +70,12 @@ impl JournalStore {
         self.wal.append(record)
     }
 
+    /// Commits one enqueue record from a lent payload (see
+    /// [`WriteAheadLog::append_enqueue`]); returns its index.
+    pub fn append_enqueue(&mut self, stamp: &EntryStamp, payload: impl Display) -> u64 {
+        self.wal.append_enqueue(stamp, payload)
+    }
+
     /// Number of committed WAL records.
     pub fn wal_len(&self) -> u64 {
         self.wal.len()
@@ -101,27 +107,29 @@ impl JournalStore {
         self.snapshots.push(self.scratch.as_str().into());
     }
 
-    /// Simulates at-rest corruption of the latest snapshot: one byte near
-    /// the middle of the blob is flipped, which recovery must detect by
-    /// checksum. Returns false when there is no snapshot to corrupt.
+    /// Simulates at-rest corruption of the latest snapshot: the character
+    /// at the middle of the blob is overwritten, which recovery must detect
+    /// by checksum. Returns false when there is no snapshot to corrupt.
     pub fn corrupt_latest_snapshot(&mut self) -> bool {
         let Some(blob) = self.snapshots.last_mut() else {
             return false;
         };
-        let mid = blob.len() / 2;
-        let mut corrupted = String::with_capacity(blob.len());
-        for (i, c) in blob.chars().enumerate() {
-            corrupted.push(if i == mid {
-                if c == '#' {
-                    '%'
-                } else {
-                    '#'
-                }
-            } else {
-                c
-            });
+        // The byte midpoint, moved back onto a character boundary: a queue
+        // of multi-byte prompts puts most of the blob's bytes inside
+        // characters.
+        let mut mid = blob.len() / 2;
+        while !blob.is_char_boundary(mid) {
+            mid -= 1;
         }
-        *blob = corrupted.into_boxed_str();
+        let Some(victim) = blob[mid..].chars().next() else {
+            return false;
+        };
+        let flipped = if victim == '#' { "%" } else { "#" };
+        self.scratch.clear();
+        self.scratch.push_str(&blob[..mid]);
+        self.scratch.push_str(flipped);
+        self.scratch.push_str(&blob[mid + victim.len_utf8()..]);
+        *blob = self.scratch.as_str().into();
         true
     }
 
@@ -192,15 +200,19 @@ mod tests {
     use guillotine_admit::AdmissionStats;
     use guillotine_types::{SessionId, TicketId};
 
+    fn stamp(ticket: u32) -> EntryStamp {
+        EntryStamp {
+            ticket: TicketId::new(ticket),
+            session: SessionId::new(ticket % 3),
+            class: 1,
+            arrival: SimInstant::from_nanos(u64::from(ticket) * 100),
+            deadline: None,
+        }
+    }
+
     fn enqueue(ticket: u32) -> WalRecord {
         WalRecord::Enqueue {
-            stamp: EntryStamp {
-                ticket: TicketId::new(ticket),
-                session: SessionId::new(ticket % 3),
-                class: 1,
-                arrival: SimInstant::from_nanos(u64::from(ticket) * 100),
-                deadline: None,
-            },
+            stamp: stamp(ticket),
             payload: format!("req {ticket}"),
         }
     }
@@ -251,6 +263,29 @@ mod tests {
         let snapshot = recovered.snapshot.expect("older snapshot still valid");
         assert_eq!(snapshot.wal_offset, 2);
         assert_eq!(recovered.suffix.len(), 2);
+    }
+
+    #[test]
+    fn a_snapshot_of_multi_byte_prompts_is_still_corrupted() {
+        // More than half the blob's bytes are UTF-8 continuation bytes, so
+        // its byte midpoint is past its last *character* index: the fault
+        // used to flip nothing and report success.
+        let mut store = JournalStore::new();
+        store.take_snapshot(snapshot_at(0).view());
+        let mut crowded = snapshot_at(1);
+        crowded.queue = (0..4)
+            .map(|ticket| (stamp(ticket), "提示词漢字".repeat(40)))
+            .collect();
+        store.take_snapshot(crowded.view());
+        let before = store.latest_snapshot().map(str::to_owned);
+        assert!(store.corrupt_latest_snapshot());
+        assert_ne!(store.latest_snapshot().map(str::to_owned), before);
+        let recovered = store.recover();
+        assert_eq!(
+            recovered.snapshots_skipped, 1,
+            "the corrupt blob is skipped"
+        );
+        assert_eq!(recovered.snapshot.expect("older snapshot").wal_offset, 0);
     }
 
     #[test]

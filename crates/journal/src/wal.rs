@@ -13,10 +13,11 @@
 
 use guillotine_admit::EntryStamp;
 use guillotine_types::encode::{
-    frame_into, parse_instant, parse_ticket, push_decimal, push_escaped, split_fields,
-    unescape_field, unframe,
+    frame_into, parse_instant, parse_ticket, push_decimal, split_fields, unescape_field, unframe,
+    Escaped,
 };
 use guillotine_types::{SessionId, SimInstant, TicketId};
+use std::fmt::{Display, Write};
 
 /// The terminal outcome a completion record carries. Mirrors the serving
 /// layer's outcome kinds without depending on it — the journal sits below
@@ -139,16 +140,21 @@ pub(crate) fn parse_stamp(fields: &[&str]) -> Option<EntryStamp> {
     })
 }
 
+/// Appends an `enq` record's body: the stamp, then `payload`'s `Display`
+/// escaped as one field.
+fn encode_enqueue(out: &mut String, stamp: &EntryStamp, payload: impl Display) {
+    out.push_str("enq|");
+    push_stamp(out, stamp);
+    out.push('|');
+    // Writing to a `String` cannot fail.
+    let _ = write!(Escaped(out), "{payload}");
+}
+
 impl WalRecord {
     /// Appends the record's stable wire form (the framed line's body).
     pub fn encode_into(&self, out: &mut String) {
         match self {
-            WalRecord::Enqueue { stamp, payload } => {
-                out.push_str("enq|");
-                push_stamp(out, stamp);
-                out.push('|');
-                push_escaped(out, payload);
-            }
+            WalRecord::Enqueue { stamp, payload } => encode_enqueue(out, stamp, payload),
             WalRecord::Shed { ticket } => {
                 out.push_str("shed|");
                 push_decimal(out, u64::from(ticket.raw()));
@@ -266,8 +272,21 @@ impl WriteAheadLog {
     /// that never completed) is overwritten — exactly what a real logger
     /// does when it keeps appending from its in-memory position.
     pub fn append(&mut self, record: &WalRecord) -> u64 {
+        self.commit(|body| record.encode_into(body))
+    }
+
+    /// Commits a [`WalRecord::Enqueue`] whose payload is lent, not owned:
+    /// `payload`'s `Display` is the payload's wire form, and it is encoded
+    /// into the log once, straight from wherever the request lives.
+    pub fn append_enqueue(&mut self, stamp: &EntryStamp, payload: impl Display) -> u64 {
+        self.commit(|body| encode_enqueue(body, stamp, payload))
+    }
+
+    /// Frames the record `body` writes and places it after the committed
+    /// tail of the newest segment.
+    fn commit(&mut self, body: impl FnOnce(&mut String)) -> u64 {
         self.scratch.clear();
-        frame_into(&mut self.scratch, |body| record.encode_into(body));
+        frame_into(&mut self.scratch, body);
         self.scratch.push('\n');
         if let Some(newest) = self.segments.last_mut() {
             newest.text.truncate(self.committed);

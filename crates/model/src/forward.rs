@@ -93,6 +93,25 @@ pub fn decode_byte_target(text: &str, decoded: u64, total: u64) -> usize {
     target
 }
 
+/// How one sequence's decode is billed token by token; see
+/// [`BatchedForwardPass::decode_prefix_latency`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DecodeSchedule {
+    total_tokens: u64,
+    /// Every token's share of the per-sequence budget.
+    base: u64,
+    /// The first `remainder` tokens absorb one extra nanosecond each.
+    remainder: u64,
+}
+
+impl DecodeSchedule {
+    /// Decode latency attributable to the first `decoded` tokens.
+    pub fn prefix(&self, decoded: u64) -> SimDuration {
+        let decoded = decoded.min(self.total_tokens);
+        SimDuration::from_nanos(decoded.saturating_mul(self.base) + decoded.min(self.remainder))
+    }
+}
+
 /// One sequence entering a forward-pass launch: the full prompt (answers are
 /// always generated from it) plus how many of its tokens must be prefilled
 /// (its total tokens minus whatever a KV lookup found cached).
@@ -459,14 +478,19 @@ impl BatchedForwardPass {
     /// A stream severed at token `k` therefore bills exactly the first `k`
     /// tokens' worth of decode, no more.
     pub fn decode_prefix_latency(&self, decoded: u64, total_tokens: u64) -> SimDuration {
-        if total_tokens == 0 {
-            return SimDuration::ZERO;
-        }
+        self.decode_schedule(total_tokens).prefix(decoded)
+    }
+
+    /// The decode billing of one `total_tokens`-token sequence, with the
+    /// per-token split worked out once: a stream bills a prefix per chunk,
+    /// and the divisions do not depend on the chunk.
+    pub fn decode_schedule(&self, total_tokens: u64) -> DecodeSchedule {
         let per_sequence = self.per_sequence_latency().as_nanos();
-        let base = per_sequence / total_tokens;
-        let remainder = per_sequence % total_tokens;
-        let decoded = decoded.min(total_tokens);
-        SimDuration::from_nanos(decoded.saturating_mul(base) + decoded.min(remainder))
+        DecodeSchedule {
+            total_tokens,
+            base: per_sequence.checked_div(total_tokens).unwrap_or(0),
+            remainder: per_sequence.checked_rem(total_tokens).unwrap_or(0),
+        }
     }
 
     /// Number of launches performed so far.
@@ -577,7 +601,13 @@ pub fn simulated_answer(prompt: &str) -> String {
                 .to_string(),
         };
     }
-    format!("Here is a helpful, harmless answer to: {prompt}")
+    // Sized exactly: a delivered answer is moved into its response, and
+    // responses are held to the end of an episode.
+    const PREAMBLE: &str = "Here is a helpful, harmless answer to: ";
+    let mut answer = String::with_capacity(PREAMBLE.len() + prompt.len());
+    answer.push_str(PREAMBLE);
+    answer.push_str(prompt);
+    answer
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@ pub mod workload;
 
 pub use forward::{
     decode_byte_target, decode_tokens, prompt_tokens, simulated_answer, BatchedForwardPass,
-    PendingSweep, PrefillJob, SweepPool, SweepPoolStats,
+    DecodeSchedule, PendingSweep, PrefillJob, SweepPool, SweepPoolStats,
 };
 pub use kv::{KvCache, KvCacheConfig, KvLookup, KvTier, KvTierStats};
 pub use rogue::{AttackFamily, AttackVector, RogueLibrary};

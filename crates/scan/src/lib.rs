@@ -18,8 +18,16 @@
 //! *byte equivalence class* (bytes that appear in no pattern share one
 //! class, so the table stays small however many of the 256 byte values the
 //! haystack uses). Output sets are merged down failure chains at build time,
-//! so scanning never chases links: each input byte costs one class lookup,
-//! one table load, and an (almost always empty) output-range check.
+//! so scanning never chases links.
+//!
+//! The table is *premultiplied*: a state is named by the offset of its row,
+//! the byte → class map already holds column numbers, and each transition
+//! word carries a has-output flag for the state it leads to. An input byte
+//! that completes no pattern — nearly all of them — therefore costs one
+//! class lookup, one add, one table load and one flag test; the output sets
+//! are only touched on a hit. One walk ([`Matcher::scan_window`]) serves
+//! every query, and it is *resumable*: it takes and returns the automaton
+//! state, so a stream fed in pieces scans each byte exactly once.
 //!
 //! # Case-folding contract
 //!
@@ -157,6 +165,17 @@ impl MatcherBuilder {
     }
 }
 
+/// Set on a transition word whose target state has a non-empty output set.
+/// Row offsets stay below it (checked at compile time), so a word without
+/// the flag *is* the next state.
+const HAS_OUTPUT: u32 = 1 << 31;
+
+/// An automaton position carried between the windows of one stream: what
+/// [`Matcher::scan_window`] returns and takes back. The default is the
+/// start state. Only meaningful to the matcher that produced it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ScanState(u32);
+
 /// A compiled ASCII-case-insensitive multi-pattern automaton.
 ///
 /// Compile once (construction is O(total pattern bytes × alphabet)), scan
@@ -164,11 +183,14 @@ impl MatcherBuilder {
 /// allocation beyond the caller's result collection.
 #[derive(Debug, Clone)]
 pub struct Matcher {
-    /// Raw byte → equivalence class, with ASCII case folding baked in.
-    classes: Vec<u16>,
-    /// Number of distinct classes (the DFA row stride).
-    class_count: usize,
-    /// Dense DFA: `table[state * class_count + class] -> state`.
+    /// Raw byte → column within a DFA row, with ASCII case folding baked
+    /// in. Column 0 is the row header, column 1 the shared "appears in no
+    /// pattern" class, so at most 2 + 230 columns exist and `u8` holds them.
+    classes: [u8; 256],
+    /// Dense premultiplied DFA. A state is the offset of its row;
+    /// `table[state]` is the row header (the state's index into
+    /// `out_ranges`) and `table[state + classes[byte]]` the next state,
+    /// with [`HAS_OUTPUT`] set when that state reports matches.
     table: Vec<u32>,
     /// Per-state `(start, end)` range into `out_ids`.
     out_ranges: Vec<(u32, u32)>,
@@ -203,15 +225,17 @@ impl Matcher {
     }
 
     fn construct(patterns: &[(Vec<u8>, bool)]) -> Matcher {
-        // Byte equivalence classes over folded pattern bytes. Class 0 is
-        // "appears in no pattern"; every such byte shares one DFA column.
-        let mut classes = vec![0u16; 256];
-        let mut class_count = 1usize;
+        // Byte equivalence classes over folded pattern bytes, numbered as
+        // row columns: 0 is the row header, 1 is "appears in no pattern"
+        // (every such byte shares one DFA column).
+        let mut classes = [1u8; 256];
+        let mut stride = 2usize;
         for (folded, _) in patterns {
             for &b in folded {
-                if classes[b as usize] == 0 {
-                    classes[b as usize] = class_count as u16;
-                    class_count += 1;
+                if classes[b as usize] == 1 {
+                    // Folded patterns hold no `A`–`Z`: at most 230 classes.
+                    classes[b as usize] = stride as u8;
+                    stride += 1;
                 }
             }
         }
@@ -220,8 +244,9 @@ impl Matcher {
             classes[upper as usize] = classes[upper.to_ascii_lowercase() as usize];
         }
 
-        // Trie over folded patterns, rows indexed by class.
-        let mut next: Vec<u32> = vec![EMPTY; class_count];
+        // Trie over folded patterns, one row per state, children held as
+        // state indices until the table is premultiplied below.
+        let mut next: Vec<u32> = vec![EMPTY; stride];
         let mut ends: Vec<Vec<u32>> = vec![Vec::new()];
         for (id, (folded, _)) in patterns.iter().enumerate() {
             if folded.is_empty() {
@@ -229,12 +254,11 @@ impl Matcher {
             }
             let mut state = 0usize;
             for &b in folded {
-                let class = classes[b as usize] as usize;
-                let slot = state * class_count + class;
+                let slot = state * stride + classes[b as usize] as usize;
                 if next[slot] == EMPTY {
                     let new_state = ends.len() as u32;
                     next[slot] = new_state;
-                    next.extend(std::iter::repeat_n(EMPTY, class_count));
+                    next.extend(std::iter::repeat_n(EMPTY, stride));
                     ends.push(Vec::new());
                     state = new_state as usize;
                 } else {
@@ -249,9 +273,13 @@ impl Matcher {
         // strictly shallower states, so by BFS order the fail target's
         // outputs are already complete when we copy them).
         let state_count = ends.len();
+        assert!(
+            state_count * stride < HAS_OUTPUT as usize,
+            "pattern set too large for 31-bit row offsets"
+        );
         let mut fail = vec![0u32; state_count];
         let mut queue = std::collections::VecDeque::new();
-        for slot in next.iter_mut().take(class_count) {
+        for slot in next.iter_mut().take(stride).skip(1) {
             let child = *slot;
             if child == EMPTY {
                 *slot = 0;
@@ -263,10 +291,10 @@ impl Matcher {
         while let Some(state) = queue.pop_front() {
             let state = state as usize;
             let fallback = fail[state] as usize;
-            for class in 0..class_count {
-                let slot = state * class_count + class;
+            for class in 1..stride {
+                let slot = state * stride + class;
                 let child = next[slot];
-                let via_fail = next[fallback * class_count + class];
+                let via_fail = next[fallback * stride + class];
                 if child == EMPTY {
                     next[slot] = via_fail;
                 } else {
@@ -275,6 +303,21 @@ impl Matcher {
                     ends[child as usize].extend(inherited);
                     queue.push_back(child);
                 }
+            }
+        }
+
+        // Premultiply: state indices become row offsets, flagged when the
+        // target reports matches; each row's header keeps the index.
+        for (index, row) in next.chunks_exact_mut(stride).enumerate() {
+            row[0] = index as u32;
+            for slot in &mut row[1..] {
+                let target = *slot as usize;
+                let flag = if ends[target].is_empty() {
+                    0
+                } else {
+                    HAS_OUTPUT
+                };
+                *slot = (target * stride) as u32 | flag;
             }
         }
 
@@ -289,7 +332,6 @@ impl Matcher {
 
         Matcher {
             classes,
-            class_count,
             table: next,
             out_ranges,
             out_ids,
@@ -353,43 +395,27 @@ impl Matcher {
     /// longest-pattern first); `visit` returns `false` to stop the scan
     /// early.
     ///
-    /// This is the zero-allocation core every other query wraps.
+    /// This is the zero-allocation core every whole-haystack query wraps:
+    /// [`Matcher::scan_window`] over the full text from the start state.
     pub fn scan<F>(&self, haystack: &str, mut visit: F)
     where
         F: FnMut(Match) -> bool,
     {
         let bytes = haystack.as_bytes();
-        let mut state = 0usize;
-        for (i, &b) in bytes.iter().enumerate() {
-            let class = self.classes[b as usize] as usize;
-            state = self.table[state * self.class_count + class] as usize;
-            let (out_start, out_end) = self.out_ranges[state];
-            if out_start == out_end {
-                continue;
-            }
-            for &id in &self.out_ids[out_start as usize..out_end as usize] {
-                let meta = &self.patterns[id as usize];
-                let start = i + 1 - meta.folded.len();
-                if meta.word_bounded {
-                    let left_ok = start == 0 || !is_word_byte(bytes[start - 1]);
-                    let right_ok = i + 1 == bytes.len() || !is_word_byte(bytes[i + 1]);
-                    if !left_ok || !right_ok {
-                        continue;
-                    }
-                }
-                if !visit(Match {
-                    pattern: id as usize,
-                    start,
-                    end: i + 1,
-                }) {
-                    return;
-                }
-            }
-        }
+        self.walk(bytes, 0..bytes.len(), 0, false, true, |m, _| visit(m));
     }
 
-    /// Streams every match in `window` to `visit`, treating the window as a
-    /// slice out of a longer stream rather than a whole haystack.
+    /// Streams every match ending in `window[from..]` to `visit`, treating
+    /// the window as a slice out of a longer stream rather than a whole
+    /// haystack, and returns the automaton state after its last byte.
+    ///
+    /// `window[..from]` is context the caller already scanned and `state`
+    /// the state that scan returned (`0` and [`ScanState::default`] for a
+    /// window with no context): the walk resumes there, so a match may
+    /// *start* inside the context though it ends past it, and no byte is
+    /// walked twice. The context must reach back `max_pattern_len() - 1`
+    /// bytes (or to the start of the stream); a match reaching further back
+    /// than the window does is not reported.
     ///
     /// `left_word` tells the word-boundary check whether the byte
     /// immediately *before* the window is an ASCII word byte (`false` at
@@ -398,56 +424,116 @@ impl Matcher {
     /// is a *tentative* flag: `true` means the match is word-bounded, ends
     /// flush with the window, and the stream continues — whether it really
     /// matches depends on the next byte, which the caller has not seen yet.
-    /// Tentative matches must not be acted on; the caller re-scans once
-    /// more bytes (or the end of stream) arrive. Non-tentative matches are
-    /// exactly the matches [`Matcher::scan`] would report over the full
-    /// stream, restricted to spans inside the window.
-    pub fn scan_window<F>(&self, window: &str, left_word: bool, at_end: bool, mut visit: F)
+    /// A tentative match must not be acted on until the caller has seen
+    /// that byte (or the end of the stream); it is not reported again.
+    /// Non-tentative matches are exactly the matches [`Matcher::scan`]
+    /// would report over the full stream.
+    pub fn scan_window<F>(
+        &self,
+        window: &str,
+        from: usize,
+        state: ScanState,
+        left_word: bool,
+        at_end: bool,
+        visit: F,
+    ) -> ScanState
     where
         F: FnMut(Match, bool) -> bool,
     {
         let bytes = window.as_bytes();
-        let mut state = 0usize;
-        for (i, &b) in bytes.iter().enumerate() {
-            let class = self.classes[b as usize] as usize;
-            state = self.table[state * self.class_count + class] as usize;
-            let (out_start, out_end) = self.out_ranges[state];
-            if out_start == out_end {
+        let (_, state) = self.walk(
+            bytes,
+            from..bytes.len(),
+            state.0 as usize,
+            left_word,
+            at_end,
+            visit,
+        );
+        ScanState(state as u32)
+    }
+
+    /// The one DFA walk: feeds `bytes[range]` to the automaton from `state`
+    /// and reports each completed pattern through [`Matcher::report`].
+    /// Boundary checks see all of `bytes`, also outside the range. Returns
+    /// where the walk stopped (the range's end, or just past the byte at
+    /// which `visit` returned `false`) and the state there.
+    #[inline(always)]
+    fn walk<F>(
+        &self,
+        bytes: &[u8],
+        range: std::ops::Range<usize>,
+        mut state: usize,
+        left_word: bool,
+        at_end: bool,
+        mut visit: F,
+    ) -> (usize, usize)
+    where
+        F: FnMut(Match, bool) -> bool,
+    {
+        let table = self.table.as_slice();
+        let from = range.start;
+        for (offset, &b) in bytes[range.clone()].iter().enumerate() {
+            let next = table[state + self.classes[b as usize] as usize];
+            if next & HAS_OUTPUT == 0 {
+                state = next as usize;
                 continue;
             }
-            for &id in &self.out_ids[out_start as usize..out_end as usize] {
-                let meta = &self.patterns[id as usize];
-                let start = i + 1 - meta.folded.len();
-                let mut tentative = false;
-                if meta.word_bounded {
-                    let left_ok = if start == 0 {
-                        !left_word
-                    } else {
-                        !is_word_byte(bytes[start - 1])
-                    };
-                    if !left_ok {
-                        continue;
-                    }
-                    if i + 1 == bytes.len() {
-                        if !at_end {
-                            tentative = true;
-                        }
-                    } else if is_word_byte(bytes[i + 1]) {
-                        continue;
-                    }
-                }
-                if !visit(
-                    Match {
-                        pattern: id as usize,
-                        start,
-                        end: i + 1,
-                    },
-                    tentative,
-                ) {
-                    return;
-                }
+            state = (next & !HAS_OUTPUT) as usize;
+            let end = from + offset + 1;
+            if !self.report(bytes, state, end, left_word, at_end, &mut visit) {
+                return (end, state);
             }
         }
+        (range.end, state)
+    }
+
+    /// Visits the patterns `state` completes at `bytes[..end]`, longest
+    /// first, after their word-boundary checks; `false` once `visit` asks
+    /// to stop.
+    fn report<F>(
+        &self,
+        bytes: &[u8],
+        state: usize,
+        end: usize,
+        left_word: bool,
+        at_end: bool,
+        visit: &mut F,
+    ) -> bool
+    where
+        F: FnMut(Match, bool) -> bool,
+    {
+        let (out_start, out_end) = self.out_ranges[self.table[state] as usize];
+        for &id in &self.out_ids[out_start as usize..out_end as usize] {
+            let meta = &self.patterns[id as usize];
+            let Some(start) = end.checked_sub(meta.folded.len()) else {
+                continue;
+            };
+            let mut tentative = false;
+            if meta.word_bounded {
+                let left_ok = if start == 0 {
+                    !left_word
+                } else {
+                    !is_word_byte(bytes[start - 1])
+                };
+                if !left_ok {
+                    continue;
+                }
+                match bytes.get(end) {
+                    Some(&right) if is_word_byte(right) => continue,
+                    Some(_) => {}
+                    None => tentative = !at_end,
+                }
+            }
+            let hit = Match {
+                pattern: id as usize,
+                start,
+                end,
+            };
+            if !visit(hit, tentative) {
+                return false;
+            }
+        }
+        true
     }
 
     /// Collects every match, in end-offset order.
@@ -513,67 +599,48 @@ impl Matcher {
 
     /// The leftmost-longest match whose start is at or after `from`.
     ///
-    /// One DFA walk from `from`, cut short as soon as no later match could
-    /// start at or before the best start seen (every match is at most
-    /// `max_len` bytes, so candidate starts only move right). Word-boundary
+    /// One DFA walk from `from` in two legs: up to the first match, then on
+    /// only as far as a better one could still end (every match is at most
+    /// `max_len` bytes, so once the walk is that far past the best start,
+    /// nothing later can start sooner or extend the tie). Word-boundary
     /// checks still see the full haystack, so restarting mid-text never
     /// changes what counts as a boundary.
     fn leftmost_longest_from(&self, bytes: &[u8], from: usize) -> Option<Match> {
         if self.max_len == 0 || from >= bytes.len() {
             return None;
         }
-        let mut best: Option<Match> = None;
-        let mut state = 0usize;
-        for (i, &b) in bytes.iter().enumerate().skip(from) {
-            if let Some(m) = &best {
-                // Any match ending at i+1 or later starts at or after
-                // i + 1 - max_len; once that bound passes the best start,
-                // nothing later can start sooner or extend the tie.
-                if i + 1 > m.start + self.max_len {
-                    break;
-                }
+        // Matches ending at one offset are visited longest first, so the
+        // first one visited is the leftmost of them.
+        let mut first = None;
+        let (reached, state) = self.walk(bytes, from..bytes.len(), 0, false, true, |m, _| {
+            first = Some(m);
+            false
+        });
+        let mut best = first?;
+        let limit = bytes.len().min(best.start + self.max_len);
+        self.walk(bytes, reached..limit, state, false, true, |m, _| {
+            if m.start < best.start || (m.start == best.start && m.end > best.end) {
+                best = m;
             }
-            let class = self.classes[b as usize] as usize;
-            state = self.table[state * self.class_count + class] as usize;
-            let (out_start, out_end) = self.out_ranges[state];
-            for &id in &self.out_ids[out_start as usize..out_end as usize] {
-                let meta = &self.patterns[id as usize];
-                let start = i + 1 - meta.folded.len();
-                if start < from {
-                    continue;
-                }
-                if meta.word_bounded {
-                    let left_ok = start == 0 || !is_word_byte(bytes[start - 1]);
-                    let right_ok = i + 1 == bytes.len() || !is_word_byte(bytes[i + 1]);
-                    if !left_ok || !right_ok {
-                        continue;
-                    }
-                }
-                let better = match &best {
-                    None => true,
-                    Some(m) => start < m.start || (start == m.start && i + 1 > m.end),
-                };
-                if better {
-                    best = Some(Match {
-                        pattern: id as usize,
-                        start,
-                        end: i + 1,
-                    });
-                }
-            }
-        }
-        best
+            true
+        });
+        Some(best)
     }
 
     /// Which patterns occur at least once — the shared per-text scan result
     /// the detectors build their verdicts from.
     pub fn matched_ids(&self, haystack: &str) -> MatchSet {
+        // The hit table is allocated at the first hit: the clean majority
+        // of texts costs the walk and nothing else.
         let mut set = MatchSet {
-            hits: vec![false; self.patterns.len()],
+            hits: Vec::new(),
             distinct: 0,
         };
         let total = self.patterns.len();
         self.scan(haystack, |m| {
+            if set.hits.is_empty() {
+                set.hits = vec![false; total];
+            }
             if !set.hits[m.pattern] {
                 set.hits[m.pattern] = true;
                 set.distinct += 1;
@@ -825,16 +892,30 @@ mod tests {
         // neighbour of the window is 'e', a word byte, so "vx" at window
         // start must stay quiet.
         let mut hits = Vec::new();
-        matcher.scan_window("vx gas", true, true, |m, tentative| {
-            hits.push((m.pattern, tentative));
-            true
-        });
+        matcher.scan_window(
+            "vx gas",
+            0,
+            ScanState::default(),
+            true,
+            true,
+            |m, tentative| {
+                hits.push((m.pattern, tentative));
+                true
+            },
+        );
         assert!(hits.is_empty());
         // Same window after punctuation: a real hit.
-        matcher.scan_window("vx gas", false, true, |m, tentative| {
-            hits.push((m.pattern, tentative));
-            true
-        });
+        matcher.scan_window(
+            "vx gas",
+            0,
+            ScanState::default(),
+            false,
+            true,
+            |m, tentative| {
+                hits.push((m.pattern, tentative));
+                true
+            },
+        );
         assert_eq!(hits, vec![(0, false)]);
     }
 
@@ -847,24 +928,45 @@ mod tests {
         // "vx" ends flush with a continuing window: tentative, because the
         // next stream byte decides the right boundary.
         let mut hits = Vec::new();
-        matcher.scan_window("use vx", false, false, |m, tentative| {
-            hits.push((m.pattern, tentative));
-            true
-        });
+        matcher.scan_window(
+            "use vx",
+            0,
+            ScanState::default(),
+            false,
+            false,
+            |m, tentative| {
+                hits.push((m.pattern, tentative));
+                true
+            },
+        );
         assert_eq!(hits, vec![(0, true)]);
         // At the true stream end the same match is definitive.
         hits.clear();
-        matcher.scan_window("use vx", false, true, |m, tentative| {
-            hits.push((m.pattern, tentative));
-            true
-        });
+        matcher.scan_window(
+            "use vx",
+            0,
+            ScanState::default(),
+            false,
+            true,
+            |m, tentative| {
+                hits.push((m.pattern, tentative));
+                true
+            },
+        );
         assert_eq!(hits, vec![(0, false)]);
         // Unbounded patterns are never tentative, even flush with the end.
         hits.clear();
-        matcher.scan_window("nerve gas", false, false, |m, tentative| {
-            hits.push((m.pattern, tentative));
-            true
-        });
+        matcher.scan_window(
+            "nerve gas",
+            0,
+            ScanState::default(),
+            false,
+            false,
+            |m, tentative| {
+                hits.push((m.pattern, tentative));
+                true
+            },
+        );
         assert_eq!(hits, vec![(1, false)]);
     }
 

@@ -3,7 +3,7 @@
 //! contract), for arbitrary pattern sets and haystacks — including
 //! non-ASCII haystacks, where byte offsets must stay aligned.
 
-use guillotine_scan::{naive, Matcher, MatcherBuilder};
+use guillotine_scan::{naive, Match, Matcher, MatcherBuilder, ScanState};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -128,5 +128,101 @@ proptest! {
             .map(|m| m.start)
             .collect();
         prop_assert_eq!(bounded_starts, expected);
+    }
+
+    /// The full differential: word-bounded and unbounded patterns mixed,
+    /// non-ASCII haystacks, `scan` against the naive occurrences filtered on
+    /// their neighbours — and the resumable walk against `scan`: for every
+    /// split point, the haystack fed as two windows with the automaton
+    /// state carried across reports exactly the whole scan's matches, in
+    /// order, whether the second window carries all of the first as context
+    /// or only the `max_pattern_len - 1` bytes the contract asks for.
+    #[test]
+    fn a_scan_split_at_any_point_equals_the_whole_scan_and_naive(
+        patterns in collection::vec(("[a-cA-C]{1,4}", any::<bool>()), 1..8),
+        haystack in "[a-cA-C İß_.]{0,60}",
+    ) {
+        let mut builder = MatcherBuilder::new();
+        for (pattern, bounded) in &patterns {
+            if *bounded {
+                builder.add_word_bounded(pattern);
+            } else {
+                builder.add(pattern);
+            }
+        }
+        let matcher = builder.build();
+        let bytes = haystack.as_bytes();
+        let whole = matcher.find_all(&haystack);
+
+        let sources: Vec<&str> = patterns.iter().map(|(pattern, _)| pattern.as_str()).collect();
+        let want: BTreeSet<(usize, usize)> = naive::all_occurrences(&sources, &haystack)
+            .into_iter()
+            .filter(|&(id, start)| {
+                let end = start + sources[id].len();
+                let left_ok = start == 0 || !is_word_byte(bytes[start - 1]);
+                let right_ok = end == bytes.len() || !is_word_byte(bytes[end]);
+                !patterns[id].1 || (left_ok && right_ok)
+            })
+            .collect();
+        let got: BTreeSet<(usize, usize)> = whole.iter().map(|m| (m.pattern, m.start)).collect();
+        prop_assert_eq!(&got, &want, "patterns {:?} haystack {:?}", &patterns, &haystack);
+
+        let keep = matcher.max_pattern_len().saturating_sub(1);
+        for split in (0..=haystack.len()).filter(|&i| haystack.is_char_boundary(i)) {
+            // First window: the stream so far, more to come.
+            let mut first: Vec<(Match, bool)> = Vec::new();
+            let state = matcher.scan_window(
+                &haystack[..split],
+                0,
+                ScanState::default(),
+                false,
+                false,
+                |m, tentative| {
+                    first.push((m, tentative));
+                    true
+                },
+            );
+            // A seam-flush word-bounded match stands unless the next byte
+            // extends the word.
+            let extends = bytes.get(split).is_some_and(|&b| is_word_byte(b));
+            let settled: Vec<Match> = first
+                .into_iter()
+                .filter(|&(_, tentative)| !(tentative && extends))
+                .map(|(m, _)| m)
+                .collect();
+
+            // Second window, whole first window as context.
+            let mut full = settled.clone();
+            matcher.scan_window(&haystack, split, state, false, true, |m, tentative| {
+                assert!(!tentative, "nothing is tentative at the end of the stream");
+                full.push(m);
+                true
+            });
+            prop_assert_eq!(&full, &whole, "split {} of {:?}", split, &haystack);
+
+            // Second window, minimal context: what a streaming caller keeps.
+            let mut cut = split.saturating_sub(keep);
+            while !haystack.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            let left_word = cut > 0 && is_word_byte(bytes[cut - 1]);
+            let mut trimmed = settled;
+            matcher.scan_window(
+                &haystack[cut..],
+                split - cut,
+                state,
+                left_word,
+                true,
+                |m, _| {
+                    trimmed.push(Match {
+                        pattern: m.pattern,
+                        start: m.start + cut,
+                        end: m.end + cut,
+                    });
+                    true
+                },
+            );
+            prop_assert_eq!(&trimmed, &whole, "split {} cut {} of {:?}", split, cut, &haystack);
+        }
     }
 }

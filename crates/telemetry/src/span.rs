@@ -263,9 +263,11 @@ impl ShardTracer {
         }
     }
 
-    /// Drains the buffered spans, leaving the buffer empty.
+    /// Drains the buffered spans, leaving the buffer empty — and sized for
+    /// as many again, since one batch's span count predicts the next's.
     pub fn take(&mut self) -> Vec<RawSpan> {
-        std::mem::take(&mut self.spans)
+        let refill = Vec::with_capacity(self.spans.len());
+        std::mem::replace(&mut self.spans, refill)
     }
 }
 
