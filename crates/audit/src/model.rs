@@ -52,7 +52,7 @@ const MAX_QUEUE: usize = 2;
 ///
 /// * `fail-closed-when-fully-quarantined` — `GuillotineFleet::affinity_route`
 /// * `no-serve-from-quarantined-shard` — `GuillotineFleet::scatter_gather`
-/// * `session-order-preserved-across-rehome` — `GuillotineFleet::quarantine_shard`
+/// * `session-order-preserved-across-rehome` — `GuillotineFleet::contain`
 /// * `no-kv-from-invalidated-generation` — `guillotine_model::kv::KvTier`
 /// * `no-chunk-after-severed-stream` —
 ///   `GuillotineDeployment::serve_batch_streaming_with_chunk`

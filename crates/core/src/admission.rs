@@ -29,11 +29,9 @@
 //! it on [`RecoveryConfig::disabled`] (no retries, no hedges), so a request
 //! a crashed or erroring shard strands is answered with an explicit
 //! refusal, never dropped. The real queue wait is added to each response's
-//! `latency.queue`, and under [`RoutingPolicy::LeastLoaded`](crate::fleet::RoutingPolicy)
-//! the door keeps [`GuillotineFleet::set_queued_load`] in sync so routing
-//! counts waiting work as load.
+//! `latency.queue`.
 
-use crate::fleet::{BatchAttempt, FleetReport, FleetStats, GuillotineFleet, RoutingPolicy};
+use crate::fleet::{BatchAttempt, FleetReport, FleetStats, GuillotineFleet};
 use crate::recovery::{DegradationMode, RecoveryConfig};
 use crate::serve::{
     LatencyBreakdown, ServeOutcomeKind, ServePriority, ServeRequest, ServeResponse,
@@ -124,16 +122,6 @@ pub struct FrontDoor {
     fleet: GuillotineFleet,
     controller: AdmissionController<ServeRequest>,
     default_deadline: Option<SimDuration>,
-    /// Predicted queued-but-unserved load per shard, maintained
-    /// incrementally on enqueue/shed/dispatch and mirrored into the fleet
-    /// for admission-aware `LeastLoaded` routing. Each queued request is
-    /// charged to the shard the router would place it on right now
-    /// (waterfill over the least-loaded shards), recorded per ticket in
-    /// `queued_placements` so the exact slot is released when the request
-    /// leaves the queue. Only maintained for `LeastLoaded` fleets — no
-    /// other policy reads queued load.
-    queued_by_shard: Vec<u64>,
-    queued_placements: HashMap<u32, usize>,
     /// When set, deadlines are judged against each request's *first-token*
     /// instant instead of batch completion — the streaming SLO. Paired
     /// with [`DeadlinePolicy::targeting_first_token`] by
@@ -167,10 +155,11 @@ pub struct FrontDoor {
     pending_control_crashes: Vec<SimInstant>,
     /// Report of the most recent control-plane crash recovery.
     last_control_recovery: Option<ControlRecovery>,
-    /// Root span id per raw ticket, so door- and recovery-side spans
-    /// parent under the request's root. Observer state, not control-plane
-    /// state: it deliberately survives control-plane crashes, because the
-    /// flight recorder is how crashes get diagnosed afterwards.
+    /// Root span id per raw ticket still owed a settlement, so door- and
+    /// recovery-side spans parent under the request's root. Observer state,
+    /// not control-plane state: a ticket's entry deliberately survives a
+    /// control-plane crash the ticket survives, because the flight recorder
+    /// is how crashes get diagnosed afterwards.
     request_roots: HashMap<u32, SpanId>,
 }
 
@@ -182,13 +171,10 @@ impl FrontDoor {
         config: AdmissionConfig,
         policy: Box<dyn BatchPolicy>,
     ) -> Self {
-        let queued_by_shard = vec![0; fleet.shard_count()];
         FrontDoor {
             fleet,
             controller: AdmissionController::new(config.capacity, config.shed, policy),
             default_deadline: config.default_deadline,
-            queued_by_shard,
-            queued_placements: HashMap::new(),
             ttft_deadlines: false,
             recovery: None,
             recovery_rng: DetRng::seed(0),
@@ -468,14 +454,11 @@ impl FrontDoor {
         let decision = self
             .controller
             .submit(request, session, class, deadline, arrival);
-        // Keep the fleet's queued-load projection current incrementally:
-        // release a shed victim's slot, charge the admitted request's.
         // WAL records are committed here, before the decision is returned
         // — the fsync-before-ack contract: an acked enqueue is always on
         // durable storage, so a torn tail is only ever un-acked garbage.
         match decision {
             AdmissionDecision::Enqueued { ticket, .. } => {
-                self.note_enqueued(ticket);
                 self.telemetry_admit(ticket, arrival);
                 self.journal_enqueue();
             }
@@ -483,8 +466,6 @@ impl FrontDoor {
                 victim, admitted, ..
             } => {
                 if let Some(ticket) = admitted {
-                    self.note_removed(victim);
-                    self.note_enqueued(ticket);
                     if self.fleet.telemetry().is_enabled() {
                         // The victim's tree closes with an explicit shed
                         // marker instead of dangling open.
@@ -613,9 +594,9 @@ impl FrontDoor {
     /// path on [`RecoveryConfig::disabled`]: no retries, no hedges, so a
     /// stranded request becomes an explicit refusal at once.
     ///
-    /// Settling is: queued-load release, queue wait added to each
-    /// response's latency, submission-to-first-token recording for streams
-    /// that emitted a token, deadline hit/miss recording (against batch
+    /// Settling is: queue wait added to each response's latency,
+    /// submission-to-first-token recording for streams that emitted a
+    /// token, deadline hit/miss recording (against batch
     /// completion, or the first-token instant when the door judges TTFT
     /// deadlines), the WAL completion record, and — on recovery-enabled
     /// doors — the idempotency and session-order witnesses.
@@ -624,7 +605,6 @@ impl FrontDoor {
         let mut stamps = Vec::with_capacity(batch.len());
         let mut requests = Vec::with_capacity(batch.len());
         for admitted in batch {
-            self.note_removed(admitted.stamp.ticket);
             let ticket = admitted.stamp.ticket;
             stamps.push((admitted.stamp, admitted.dispatched));
             // The ticket rides the request into the fleet so shard-local
@@ -632,7 +612,6 @@ impl FrontDoor {
             // the wire form, so journal round-trips stay byte-identical.
             requests.push(admitted.payload.with_ticket(ticket));
         }
-        self.push_queued_load();
         self.journal_dispatch(&stamps);
         let borrowed: Vec<&ServeRequest> = requests.iter().collect();
         let mut attempt = self.fleet.scatter_gather(&borrowed, None);
@@ -1011,7 +990,7 @@ impl FrontDoor {
 
     /// The control plane dies and restarts: every volatile structure —
     /// queue, ticket stamps, idempotency set, session-order witness,
-    /// routing projection, ladder mode — is gone at the crash instant,
+    /// ladder mode — is gone at the crash instant,
     /// then rebuilt from the journal (latest valid snapshot plus WAL
     /// suffix replay, torn tail truncated) or, without one, from nothing.
     /// Replay work is charged to the fleet clock as downtime.
@@ -1043,10 +1022,6 @@ impl FrontDoor {
         let queued_before = self.controller.depth() as u64;
         self.completed_tickets.clear();
         self.session_progress.clear();
-        self.queued_placements.clear();
-        for slot in self.queued_by_shard.iter_mut() {
-            *slot = 0;
-        }
         self.fleet.recovery_mut().control_plane_crashes += 1;
         let mut summary = ControlRecovery {
             at: now,
@@ -1135,26 +1110,24 @@ impl FrontDoor {
                 }
             }
         }
-        // Rebuild the queued-load projection for LeastLoaded routing from
-        // the restored queue.
-        let tickets: Vec<TicketId> = self
-            .controller
-            .entries()
-            .map(|(stamp, _)| stamp.ticket)
-            .collect();
-        let restored_at = self.fleet.clock.now();
-        for ticket in tickets {
-            self.note_enqueued(ticket);
+        if self.fleet.telemetry().is_enabled() {
             // A re-queued ticket was delayed by whatever fault forced the
-            // crash — feed the correlation table.
-            if self.fleet.telemetry().is_enabled() {
-                self.fleet
-                    .telemetry_mut()
-                    .recorder_mut()
-                    .note_delay(ticket, restored_at);
+            // crash — feed the correlation table. Its root span stays for
+            // its eventual settlement; the root of a ticket that did not
+            // come back (no journal, torn enqueue) has nothing left to
+            // parent and goes.
+            let restored_at = self.fleet.clock.now();
+            let recorder = self.fleet.telemetry_mut().recorder_mut();
+            let mut kept = HashMap::new();
+            for (stamp, _) in self.controller.entries() {
+                recorder.note_delay(stamp.ticket, restored_at);
+                let raw = stamp.ticket.raw();
+                if let Some(root) = self.request_roots.remove(&raw) {
+                    kept.insert(raw, root);
+                }
             }
+            self.request_roots = kept;
         }
-        self.push_queued_load();
         self.last_control_recovery = Some(summary);
     }
 
@@ -1178,42 +1151,6 @@ impl FrontDoor {
             self.mode = mode;
             self.mode_since = now;
         }
-    }
-
-    /// Charges a freshly-queued request to the shard `LeastLoaded` would
-    /// place it on right now, and remembers the placement by ticket. The
-    /// push happens first-thing so the *next* prediction sees this one —
-    /// queued requests waterfill across shards exactly as the router will
-    /// spread them at dispatch.
-    fn note_enqueued(&mut self, ticket: TicketId) {
-        if self.fleet.routing() != RoutingPolicy::LeastLoaded {
-            return;
-        }
-        let shard = self.fleet.least_loaded_shard();
-        self.queued_by_shard[shard] += 1;
-        self.queued_placements.insert(ticket.raw(), shard);
-        self.push_queued_load();
-    }
-
-    /// Releases a queued request's predicted load slot (shed victim or
-    /// dispatched entry). The caller pushes when it is done mutating.
-    fn note_removed(&mut self, ticket: TicketId) {
-        if let Some(shard) = self.queued_placements.remove(&ticket.raw()) {
-            self.queued_by_shard[shard] = self.queued_by_shard[shard].saturating_sub(1);
-        }
-    }
-
-    /// Mirrors the incrementally-maintained per-shard queued counts into
-    /// the fleet, so `LeastLoaded` routing and the admission queue agree
-    /// on load. Only that policy ever reads the projection, so other
-    /// fleets skip the write.
-    fn push_queued_load(&mut self) {
-        if self.fleet.routing() != RoutingPolicy::LeastLoaded {
-            return;
-        }
-        let load = std::mem::take(&mut self.queued_by_shard);
-        self.fleet.set_queued_load(&load);
-        self.queued_by_shard = load;
     }
 
     /// WAL records committed so far — the offset incidents carry, so a
@@ -1265,7 +1202,8 @@ impl FrontDoor {
         }
         let wal_offset = self.wal_offset();
         let ticket = stamp.ticket;
-        let root = self.request_roots.get(&ticket.raw()).copied();
+        // Settlement is the last reader of the ticket's root span id.
+        let root = self.request_roots.remove(&ticket.raw());
         let missed = stamp.deadline.is_some_and(|deadline| achieved > deadline);
         let wait = dispatched.duration_since(stamp.arrival);
         let telemetry = self.fleet.telemetry_mut();
@@ -1333,9 +1271,7 @@ impl FrontDoor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::RoutingPolicy;
     use crate::serve::ServePriority;
-    use guillotine_admit::FifoWavePolicy;
     use guillotine_types::SessionId;
 
     fn benign(i: u32) -> ServeRequest {
@@ -1434,34 +1370,6 @@ mod tests {
     }
 
     #[test]
-    fn least_loaded_routing_sees_the_queue() {
-        let fleet = GuillotineFleet::builder()
-            .with_shards(2)
-            .with_routing(RoutingPolicy::LeastLoaded)
-            .build()
-            .unwrap();
-        let mut d = FrontDoor::new(
-            fleet,
-            AdmissionConfig::default(),
-            Box::new(FifoWavePolicy { wave: 64 }),
-        );
-        // Queued requests are charged to the shard the router would pick,
-        // waterfilling across shards — the projection predicts placement
-        // rather than piling phantom load on a hash-derived home.
-        for i in 0..6 {
-            d.submit(benign(i));
-        }
-        assert_eq!(d.fleet().queued_load(), &[3, 3]);
-        let responses = d.drain().unwrap();
-        assert_eq!(responses.len(), 6);
-        assert_eq!(d.fleet().queued_load(), &[0, 0]);
-        // And the router indeed spread the dispatched work evenly.
-        let stats = d.stats();
-        assert_eq!(stats.shards[0].routed, 3);
-        assert_eq!(stats.shards[1].routed, 3);
-    }
-
-    #[test]
     fn served_streams_record_submission_to_first_token() {
         let mut d = door(16, ShedPolicy::FailClosed);
         d.submit(benign(0));
@@ -1534,5 +1442,30 @@ mod tests {
         let rendered = d.report().render();
         assert!(rendered.contains("admission queue"));
         assert!(rendered.contains("deadlines"));
+    }
+
+    #[test]
+    fn request_roots_do_not_outlive_their_tickets() {
+        let mut d = door(16, ShedPolicy::FailClosed).with_telemetry(TelemetryConfig::full());
+        let trace: Vec<TimedArrival> = (0..10)
+            .map(|i| TimedArrival {
+                at: SimInstant::from_nanos(i as u64 * 1_000),
+                request: benign(i),
+                deadline: None,
+            })
+            .collect();
+        let (_, responses) = d.play(trace).unwrap();
+        assert_eq!(responses.len(), 10);
+        assert!(d.fleet().telemetry().tracer().orphans().is_empty());
+        assert!(d.request_roots.is_empty(), "a settled ticket keeps no root");
+        // Without a journal a control-plane crash loses the queue, and the
+        // lost tickets' roots go with it.
+        for i in 0..3 {
+            assert!(d.submit(benign(i)).admitted());
+        }
+        assert_eq!(d.request_roots.len(), 3);
+        d.crash_control_plane();
+        assert_eq!(d.queue_depth(), 0);
+        assert!(d.request_roots.is_empty(), "a lost ticket keeps no root");
     }
 }

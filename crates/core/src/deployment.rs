@@ -549,11 +549,10 @@ impl GuillotineDeployment {
     /// Serves a batch of requests through the full screened path, decoding
     /// incrementally and streaming redacted chunks.
     ///
-    /// The pipeline is two halves around the forward pass:
-    /// [`GuillotineDeployment::begin_batch`] runs stages 1–4 and leaves the
-    /// batch's one weight sweep *launched*;
-    /// [`GuillotineDeployment::finish_batch`] collects it and runs stages
-    /// 5–6. This method is `begin` then `finish` back to back. The fleet
+    /// The pipeline is two halves around the forward pass: `begin_batch`
+    /// runs stages 1–4 and leaves the batch's one weight sweep *launched*;
+    /// `finish_batch` collects it and runs stages 5–6. This method is
+    /// `begin` then `finish` back to back. The fleet
     /// driver calls the halves itself — every live shard's `begin`, then
     /// every `finish` — so the shards' sweeps overlap in wall-clock while
     /// everything stateful stays on the calling thread, in one fixed order.

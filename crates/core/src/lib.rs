@@ -34,7 +34,7 @@
 //! * [`fleet`] — [`fleet::GuillotineFleet`] shards the batched front door
 //!   across N deployments, each its own machine with its own console
 //!   registration and detector stack. Requests route by session affinity
-//!   (or round-robin / least-loaded); escalation containment is per-shard:
+//!   (or round-robin); escalation containment is per-shard:
 //!   a shard whose detectors sever its ports finishes its in-flight
 //!   requests `Escalated`, is quarantined, and its sessions re-route to
 //!   healthy shards on the next fleet batch. `FleetStats` / `FleetReport`

@@ -10,9 +10,9 @@
 //!
 //! A forbidden marker can straddle a chunk seam, so the sanitizer cannot
 //! emit everything it has seen: it withholds a carry-over buffer at each
-//! seam. The contract (shared with `guillotine-stream`'s module docs) is
-//! that the buffer is bounded by `max_pattern_len - 1` bytes — any match
-//! crossing a seam starts within that many bytes of it — with two small,
+//! seam. The contract (shared with the umbrella crate's `streaming` module
+//! docs) is that the buffer is bounded by `max_pattern_len - 1` bytes — any
+//! match crossing a seam starts within that many bytes of it — with two small,
 //! bounded exceptions: a *word-bounded* marker ending flush with the seam
 //! stays buffered until the next byte decides its right boundary (at most
 //! the longest word-bounded marker, under four bytes for the default

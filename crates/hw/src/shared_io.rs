@@ -1,7 +1,7 @@
 //! The shared IO DRAM region between model cores and hypervisor cores.
 //!
 //! In the paper's design (§3.2), a model core cannot touch devices directly;
-//! "to issue an IO request, a model core writes the request [to] a special IO
+//! "to issue an IO request, a model core writes the request \[to\] a special IO
 //! DRAM region shared by the model and Guillotine, and then raises an
 //! interrupt on a hypervisor core". This module implements that region as a
 //! pair of descriptor rings (requests from the model, responses from the

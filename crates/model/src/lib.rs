@@ -7,8 +7,6 @@
 //! Neither needs real weights — what matters is that the request/IO/activation
 //! patterns exercise the same hypervisor code paths a real deployment would.
 //!
-//! * [`service`] — the inference-service simulator (queues, replicas, KV
-//!   cache, token generation, RAG lookups),
 //! * [`forward`] — the simulated forward pass whose per-launch weight sweep
 //!   gives batching its real cost advantage, split into prefill (linear in
 //!   *uncached* prompt tokens) and decode (used by the deployment's
@@ -29,7 +27,6 @@
 pub mod forward;
 pub mod kv;
 pub mod rogue;
-pub mod service;
 pub mod workload;
 
 pub use forward::{
@@ -38,5 +35,4 @@ pub use forward::{
 };
 pub use kv::{KvCache, KvCacheConfig, KvLookup, KvTier, KvTierStats};
 pub use rogue::{AttackFamily, AttackVector, RogueLibrary};
-pub use service::{InferenceService, ServiceConfig, ServiceStats};
 pub use workload::{InferenceRequest, PromptClass, WorkloadConfig, WorkloadGenerator};

@@ -202,10 +202,10 @@ impl Tracer {
 
 /// A span observed inside a shard deployment, before global ids exist.
 ///
-/// Deployments run inside the fleet's scatter/gather (possibly on scoped
-/// threads), so they cannot reach the shared [`Tracer`]; they buffer raw
-/// spans locally and the fleet drains them with [`ShardTracer::take`],
-/// assigning ids and parent links at collection time.
+/// A deployment has no handle on the fleet's [`Tracer`] — it is a machine
+/// of its own that the fleet only calls into — so it buffers raw spans
+/// locally and the fleet drains them with [`ShardTracer::take`] after each
+/// batch, assigning ids and parent links at collection time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawSpan {
     /// Stage name, e.g. `serve.prefill` or `stream.chunk`.

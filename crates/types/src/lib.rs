@@ -29,5 +29,5 @@ pub use ids::{
     AdminId, CertId, ConnectionId, CoreId, CoreKind, DeviceId, MachineId, ModelId, PortId,
     RequestId, SessionId, TicketId, WatchpointId,
 };
-pub use metrics::{Counter, Gauge, Histogram, RateEstimator, Summary};
+pub use metrics::{Counter, Gauge, Histogram};
 pub use rng::DetRng;

@@ -74,85 +74,6 @@ impl Gauge {
     }
 }
 
-/// Streaming summary statistics (count, mean, min, max, variance).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds an observation (Welford's online algorithm).
-    pub fn observe(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of observations (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance of observations (0 if fewer than 2).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation (0 if empty).
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Maximum observation (0 if empty).
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
-
 /// A fixed-bucket histogram with power-of-two bucket boundaries.
 ///
 /// Suited to latency measurements spanning several orders of magnitude
@@ -305,49 +226,6 @@ impl Histogram {
     }
 }
 
-/// Estimates an event rate over a sliding window of simulated time.
-///
-/// Samples are kept in a ring and pruned from the front as they age out,
-/// so recording is amortized O(1) per event — each sample is pushed once
-/// and popped at most once — instead of the O(n) full-scan `retain` the
-/// first version paid on every record.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct RateEstimator {
-    window_nanos: u64,
-    samples: std::collections::VecDeque<u64>,
-}
-
-impl RateEstimator {
-    /// Creates an estimator with the given window length in nanoseconds.
-    pub fn new(window_nanos: u64) -> Self {
-        RateEstimator {
-            window_nanos: window_nanos.max(1),
-            samples: std::collections::VecDeque::new(),
-        }
-    }
-
-    /// Records an event at simulated time `now_nanos`.
-    ///
-    /// Event times are expected to be non-decreasing (simulated clocks never
-    /// run backwards); an out-of-order sample older than the window is
-    /// pruned on the next in-order record, so estimates stay correct either
-    /// way.
-    pub fn record(&mut self, now_nanos: u64) {
-        self.samples.push_back(now_nanos);
-        let cutoff = now_nanos.saturating_sub(self.window_nanos);
-        while matches!(self.samples.front(), Some(&t) if t < cutoff) {
-            self.samples.pop_front();
-        }
-    }
-
-    /// Returns the current events-per-second estimate at `now_nanos`.
-    pub fn rate_per_sec(&self, now_nanos: u64) -> f64 {
-        let cutoff = now_nanos.saturating_sub(self.window_nanos);
-        let n = self.samples.iter().filter(|&&t| t >= cutoff).count();
-        n as f64 * 1e9 / self.window_nanos as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,27 +249,6 @@ mod tests {
         g.lower(100);
         assert_eq!(g.current(), 0);
         assert_eq!(g.high_water(), 7);
-    }
-
-    #[test]
-    fn summary_statistics_are_correct() {
-        let mut s = Summary::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.observe(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-9);
-        assert!((s.stddev() - 2.0).abs() < 1e-9);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn empty_summary_is_zeroed() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
     }
 
     #[test]
@@ -465,64 +322,5 @@ mod tests {
         assert_eq!(Histogram::decode_sparse(""), None);
         assert_eq!(Histogram::decode_sparse("0;64:1"), None);
         assert_eq!(Histogram::decode_sparse("0;x:1"), None);
-    }
-
-    #[test]
-    fn rate_estimator_matches_retain_reference() {
-        // Behavior equivalence against the original O(n) `retain`
-        // implementation, over a mixed record/read schedule with bursts,
-        // gaps and repeated timestamps.
-        struct Reference {
-            window: u64,
-            samples: Vec<u64>,
-        }
-        impl Reference {
-            fn record(&mut self, now: u64) {
-                self.samples.push(now);
-                let cutoff = now.saturating_sub(self.window);
-                self.samples.retain(|&t| t >= cutoff);
-            }
-            fn rate_per_sec(&self, now: u64) -> f64 {
-                let cutoff = now.saturating_sub(self.window);
-                let n = self.samples.iter().filter(|&&t| t >= cutoff).count();
-                n as f64 * 1e9 / self.window as f64
-            }
-        }
-        let window = 1_000_000u64;
-        let mut fast = RateEstimator::new(window);
-        let mut reference = Reference {
-            window,
-            samples: Vec::new(),
-        };
-        let mut now = 0u64;
-        for step in 0u64..500 {
-            // A deterministic mix of dense bursts and long quiet gaps.
-            now += match step % 7 {
-                0 => 0,
-                1..=3 => 1_000,
-                4 => 250_000,
-                _ => 2_000_000,
-            };
-            fast.record(now);
-            reference.record(now);
-            let probe = now + (step % 3) * 400_000;
-            assert_eq!(
-                fast.rate_per_sec(probe),
-                reference.rate_per_sec(probe),
-                "diverged at step {step} (now={now})"
-            );
-        }
-    }
-
-    #[test]
-    fn rate_estimator_windows_out_old_events() {
-        let mut r = RateEstimator::new(1_000_000_000);
-        for i in 0..100 {
-            r.record(i * 10_000_000);
-        }
-        let rate = r.rate_per_sec(990_000_000);
-        assert!(rate > 50.0, "rate={rate}");
-        let much_later = 10_000_000_000;
-        assert_eq!(r.rate_per_sec(much_later), 0.0);
     }
 }

@@ -327,3 +327,65 @@ fn each_shard_launches_once_per_fleet_batch_it_participates_in() {
         assert_eq!(stats.forward_launches, 3);
     }
 }
+
+// ---------------------------------------------------------------------
+// Begin-all-then-finish-all: a mid-window crash and the later shards' KV
+// lookups of the same batch.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_mid_window_crash_invalidates_kv_after_the_batchs_lookups_not_between_them() {
+    use guillotine::KvCacheConfig;
+    use guillotine_types::SimDuration;
+
+    let session = SessionId::new(1);
+    // Each turn extends the last by more than one KV block.
+    let turn = |turns: usize| {
+        let mut prompt = String::from("We are planning a walk along the coast next week.");
+        for t in 0..turns {
+            prompt.push_str(&format!(
+                " Follow-up {t}: what should we pack for day {t} of the walk, rain or shine?"
+            ));
+        }
+        ServeRequest::new(prompt).with_session(session)
+    };
+    let mut fleet = GuillotineFleet::builder()
+        .with_shards(2)
+        .with_routing(RoutingPolicy::RoundRobin)
+        .with_kv_cache(KvCacheConfig::default())
+        .with_kv_invalidation_on_quarantine(true)
+        .build()
+        .unwrap();
+
+    // Batch 1: the rotation starts at shard 0, so the session's prefix is
+    // prefilled — and tagged — under shard 0.
+    let warm = fleet.serve_batch_attempt(&[turn(1)]);
+    assert_eq!(warm.shards, vec![Some(0)]);
+
+    // Batch 2: the rotation puts the session's next turn on shard 1 and a
+    // bystander on shard 0, which is scheduled to crash inside the batch's
+    // serving window.
+    let begin = fleet.clock.now();
+    let crash_at = begin.saturating_add(SimDuration::from_micros(1));
+    fleet.schedule_crash(0, crash_at);
+    let bystander = ServeRequest::new("What causes tides?").with_session(SessionId::new(2));
+    let attempt = fleet.serve_batch_attempt(&[turn(2), bystander]);
+    assert_eq!(attempt.failed, vec![1], "shard 0 lost its sub-batch");
+    assert!(fleet.is_crashed(0) && fleet.kv_invalidated(0));
+    assert_eq!(attempt.shards[0], Some(1));
+    // Shard 1 looked the session up before shard 0's crash was booked, and
+    // hit the prefix shard 0 had prefilled. That is in order on the
+    // simulated clock: every lookup of the batch happens at its begin
+    // instant, and the crash lands strictly later, inside the window.
+    let served = attempt.responses[0].as_ref().unwrap();
+    assert!(served.delivered() && served.kv_hit);
+    assert!(begin < crash_at && crash_at <= fleet.clock.now());
+
+    // From the next batch on the dead shard's blocks are gone: the session
+    // restarts cold.
+    let dropped = fleet.stats().kv.unwrap().invalidated;
+    assert!(dropped > 0);
+    let next = fleet.serve_batch_attempt(&[turn(3)]);
+    let cold = next.responses[0].as_ref().unwrap();
+    assert!(cold.delivered() && !cold.kv_hit);
+}
