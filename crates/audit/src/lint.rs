@@ -34,13 +34,18 @@
 //!   `encode_into` / `frame_into` into one reused buffer, and a temporary
 //!   `String` per field is what made journaling the most expensive layer
 //!   of a request. (The snapshot-chain artifact dump in `store.rs` is the
-//!   reviewed exception.) The rule also reaches *into* two files it does
-//!   not cover whole, function by function ([`PER_REQUEST_FNS`]): the
+//!   reviewed exception.) The rule also reaches *into* files it does not
+//!   cover whole, function by function ([`PER_REQUEST_FNS`]): the
 //!   hypervisor's `screen_prompt` / `screen_response`, which see every
 //!   prompt and every response and must lend the text to the detectors
-//!   rather than copy it, and the front door's `submit_at` with its
+//!   rather than copy it; the front door's `submit_at` with its
 //!   `journal_enqueue`, which must encode an acked request from the queue's
-//!   own entry rather than build its wire form as a `String` first.
+//!   own entry rather than build its wire form as a `String` first; the
+//!   deployment's `begin_batch` / `finish_batch`, which hold a stream's
+//!   chunks as ranges of one buffer; and `Verdict::clean` with every
+//!   built-in detector's `inspect`, whose unflagged verdicts are static
+//!   strings — only a flagged branch formats a reason, under an
+//!   `audit:allow` that says so.
 //!
 //! # The `audit:allow` escape
 //!
@@ -87,16 +92,35 @@ const JOURNAL_WRITE_PATH: [&str; 4] = [
 
 /// Functions held to `no-string-alloc` and `no-case-alloc` inside files
 /// those rules do not cover whole: `(file, function names)`. Each runs once
-/// per request on the request's full text.
-pub const PER_REQUEST_FNS: [(&str, &[&str]); 2] = [
+/// per request — on the request's full text, or once per verdict or per
+/// streamed chunk of it.
+pub const PER_REQUEST_FNS: [(&str, &[&str]); 10] = [
     (
         "crates/hv/src/hypervisor.rs",
-        &["screen_prompt", "screen_response"],
+        &[
+            "screen_prompt",
+            "screen_response",
+            "screen_streamed_response",
+        ],
     ),
     (
         "crates/core/src/admission.rs",
         &["submit_at", "journal_enqueue"],
     ),
+    (
+        "crates/core/src/deployment.rs",
+        &["begin_batch", "finish_batch", "decode_to", "flush", "emit"],
+    ),
+    ("crates/detect/src/verdict.rs", &["clean"]),
+    ("crates/detect/src/composite.rs", &["inspect"]),
+    ("crates/detect/src/input_shield.rs", &["inspect"]),
+    (
+        "crates/detect/src/output_sanitizer.rs",
+        &["inspect", "verdict_of"],
+    ),
+    ("crates/detect/src/steering.rs", &["inspect"]),
+    ("crates/detect/src/circuit_breaker.rs", &["inspect"]),
+    ("crates/detect/src/anomaly.rs", &["inspect"]),
 ];
 
 /// Where in a file a rule applies.
@@ -724,6 +748,17 @@ fn f() -> usize {
         assert!(lint_source("crates/core/src/report.rs", submit)
             .findings
             .is_empty());
+        // A detector's `inspect`: the clean branch may not build a string,
+        // the flagged branch may under a reasoned allow, and the helpers
+        // around it are not the lint's business.
+        let detector = "fn evaluate(&self) -> String {\n    format!(\"{}\", 1)\n}\nfn inspect(&mut self, o: &Obs) -> Verdict {\n    if !self.hit(o) {\n        return Verdict::clean(self.name().to_string());\n    }\n    // audit:allow(no-string-alloc, flagged branch formats its reason)\n    Verdict::flagged(self.name(), format!(\"{}\", 2))\n}\n";
+        let outcome = lint_source("crates/detect/src/anomaly.rs", detector);
+        assert_eq!(outcome.findings.len(), 1, "{:?}", outcome.findings);
+        assert_eq!(
+            outcome.findings[0].location,
+            "crates/detect/src/anomaly.rs:6"
+        );
+        assert_eq!(outcome.allows.len(), 1);
     }
 
     #[test]

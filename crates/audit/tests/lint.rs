@@ -43,9 +43,10 @@ fn working_tree_is_lint_clean() {
     }
 }
 
-/// The alloc rules reach into `hv`'s screens and the front door's
-/// admission path by function name; a rename there would silently drop the
-/// function from the lint, so every name must still be found.
+/// The alloc rules reach into `hv`'s screens, the deployment's batch halves,
+/// the built-in detectors' `inspect`s and the front door's admission path by
+/// function name; a rename there would silently drop the function from the
+/// lint, so every name must still be found.
 #[test]
 fn per_request_functions_exist_where_the_lint_looks() {
     for (file, names) in PER_REQUEST_FNS {
@@ -62,20 +63,40 @@ fn per_request_functions_exist_where_the_lint_looks() {
 /// The known, reviewed suppressions: the compile-time Unicode case-variant
 /// expansion, the journal store's CI artifact dump (`dump_snapshots` — it
 /// builds a `String` to hand to a file writer, off the append/snapshot
-/// path), and nothing on the serve path (the fleet's one batch driver
-/// borrows its requests, so there is no slot to take; the hypervisor's
-/// screens and the front door's `submit_at` came under `no-string-alloc`
-/// needing no escape). If this list grows, the new entry was either justified in review or someone
-/// is bypassing the gate — either way it should show up in a test diff.
+/// path), and the *flagged* branch of each built-in detector's `inspect`,
+/// which formats its reason (and, for steering, names its replacement) only
+/// once something has been flagged — the clean branch of every one of them,
+/// `Verdict::clean`, the hypervisor's screens, the deployment's
+/// `begin_batch`/`finish_batch` and the front door's `submit_at` are under
+/// `no-string-alloc` needing no escape. If this list grows, the new entry
+/// was either justified in review or someone is bypassing the gate — either
+/// way it should show up in a test diff.
 #[test]
 fn suppression_inventory_is_exactly_the_reviewed_set() {
     let outcome = lint_repo(repo_root()).expect("source tree walk");
-    let mut rules: Vec<&str> = outcome.allows.iter().map(|(_, r)| r.as_str()).collect();
-    rules.sort_unstable();
+    let mut allows: Vec<(&str, &str)> = outcome
+        .allows
+        .iter()
+        .map(|(location, rule)| {
+            let file = location
+                .rsplit_once(':')
+                .map_or(location.as_str(), |(f, _)| f);
+            (file, rule.as_str())
+        })
+        .collect();
+    allows.sort_unstable();
     assert_eq!(
-        rules,
-        ["no-case-alloc", "no-case-alloc", "no-string-alloc"],
-        "allows: {:?}",
-        outcome.allows
+        allows,
+        [
+            ("crates/detect/src/circuit_breaker.rs", "no-string-alloc"),
+            ("crates/detect/src/composite.rs", "no-string-alloc"),
+            ("crates/detect/src/input_shield.rs", "no-string-alloc"),
+            ("crates/detect/src/output_sanitizer.rs", "no-string-alloc"),
+            ("crates/detect/src/scan_util.rs", "no-case-alloc"),
+            ("crates/detect/src/scan_util.rs", "no-case-alloc"),
+            ("crates/detect/src/steering.rs", "no-string-alloc"),
+            ("crates/detect/src/steering.rs", "no-string-alloc"),
+            ("crates/journal/src/store.rs", "no-string-alloc"),
+        ],
     );
 }

@@ -137,7 +137,7 @@ impl NaiveShield {
 }
 
 impl Detector for NaiveShield {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "naive-input-shield"
     }
 
@@ -212,7 +212,7 @@ impl NaiveSanitizer {
 }
 
 impl Detector for NaiveSanitizer {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "naive-output-sanitizer"
     }
 

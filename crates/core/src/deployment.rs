@@ -3,13 +3,13 @@
 
 use crate::builder::DeploymentBuilder;
 use crate::serve::{
-    truncate_on_char_boundary, LatencyBreakdown, ServeOutcomeKind, ServeRequest, ServeResponse,
-    ServeStage, StageVerdict,
+    char_boundary_at_or_below, truncate_on_char_boundary, LatencyBreakdown, ServeOutcomeKind,
+    ServeRequest, ServeResponse, ServeStage, StageVerdict,
 };
 use crate::streaming::{StreamChunk, StreamEnd, StreamedResponse, DEFAULT_CHUNK_TOKENS};
 use guillotine_detect::{
-    CompiledCategories, DetectorRegistry, RecommendedAction, StreamingSanitizer, SystemStats,
-    Verdict,
+    CompiledCategories, DetectorRegistry, RecommendedAction, ScreenedResponse, StreamingSanitizer,
+    SystemStats, Verdict,
 };
 use guillotine_hv::hypervisor::PortPolicy;
 use guillotine_hv::{
@@ -36,6 +36,7 @@ use guillotine_types::{
     SimInstant,
 };
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Node names used in the deployment's network.
@@ -103,11 +104,87 @@ const OUTPUT_SCREEN_LATENCY: SimDuration = SimDuration::from_micros(10);
 /// One request's response under construction, in submission order.
 struct Slot {
     outcome: Option<ServeOutcomeKind>,
-    response: String,
+    /// The delivered text, once something has been delivered.
+    response: Option<String>,
     verdicts: Vec<StageVerdict>,
     latency: LatencyBreakdown,
     kv_hit: bool,
     isolation: IsolationLevel,
+    /// What the request's stream emitted, moved here when the stream ends.
+    chunks: Vec<StreamChunk>,
+    /// The text `chunks` are ranges of, unless that is `response` itself.
+    undelivered: Option<String>,
+    /// Tokens the stream had decoded when it ended.
+    decoded: u64,
+}
+
+/// The live state of one in-flight stream. `done` flips when the stream
+/// screens (its slot's outcome set) or is severed (outcome left `None`,
+/// resolved to `Escalated` at assembly).
+struct StreamState {
+    slot: usize,
+    answer: String,
+    total: u64,
+    decoded: u64,
+    /// Decode latency billed so far: the schedule's prefix at `decoded`.
+    billed: SimDuration,
+    schedule: DecodeSchedule,
+    cursor: usize,
+    sanitizer: Option<StreamingSanitizer>,
+    /// The stream's one buffer: the text that has left the sanitizer so far
+    /// (the raw answer so far, when nothing sanitizes the stream). Every
+    /// chunk is a byte range of it.
+    text: String,
+    chunks: Vec<StreamChunk>,
+    done: bool,
+}
+
+impl StreamState {
+    /// Feeds `answer[cursor..target]` through the sanitizer into the
+    /// stream's buffer and records whatever settled as one chunk.
+    fn decode_to(&mut self, target: usize, cap: Option<usize>, offset_tokens: u64, at: SimInstant) {
+        let raw = &self.answer[self.cursor..target];
+        let from = self.text.len();
+        match self.sanitizer.as_mut() {
+            Some(sanitizer) => sanitizer.push_into(raw, &mut self.text),
+            None => self.text.push_str(raw),
+        }
+        self.cursor = target;
+        self.emit(from..self.text.len(), cap, offset_tokens, at);
+    }
+
+    /// Flushes the sanitizer's seam buffer as the stream's final chunk, so
+    /// the chunks concatenate to the full sanitized text.
+    fn flush(&mut self, cap: Option<usize>, at: SimInstant) {
+        if let Some(sanitizer) = self.sanitizer.as_mut() {
+            let from = self.text.len();
+            sanitizer.finish_into(&mut self.text);
+            self.emit(from..self.text.len(), cap, self.decoded, at);
+        }
+    }
+
+    /// Records `bytes` of the stream's buffer as one chunk, stopping at the
+    /// request's response cap (`max_response_bytes`, cut by the same rule
+    /// that truncates the response): a streaming consumer never receives
+    /// what the policy forbids the response to hold.
+    fn emit(
+        &mut self,
+        mut bytes: Range<usize>,
+        cap: Option<usize>,
+        offset_tokens: u64,
+        at: SimInstant,
+    ) {
+        if let Some(max) = cap.filter(|&max| bytes.end > max) {
+            bytes.end = char_boundary_at_or_below(&self.text, max);
+        }
+        if bytes.start < bytes.end {
+            self.chunks.push(StreamChunk {
+                offset_tokens,
+                bytes,
+                at,
+            });
+        }
+    }
 }
 
 /// A batch between [`GuillotineDeployment::begin_batch`] and
@@ -118,12 +195,13 @@ struct Slot {
 pub(crate) struct StagedBatch {
     chunk_tokens: u64,
     entry: SimInstant,
-    stats_verdict: Verdict,
+    /// The batch's one `SystemAnomaly` verdict; every slot shares it.
+    stats_verdict: Arc<Verdict>,
     /// The verdict a severed stream will carry: the most recent verdict
     /// that recommended `Sever` or worse, falling back to the batch's
     /// system-stats verdict when the escalation came from outside the
     /// text screens.
-    sever_verdict: Option<Verdict>,
+    sever_verdict: Option<Arc<Verdict>>,
     slots: Vec<Slot>,
     /// Request indices that reached the forward pass, in priority order.
     survivors: Vec<usize>,
@@ -133,8 +211,8 @@ pub(crate) struct StagedBatch {
 /// What [`GuillotineDeployment::begin_batch`] leaves for
 /// [`GuillotineDeployment::finish_batch`].
 pub(crate) enum BatchStage {
-    /// Refused at admission: the responses are already final.
-    Done(Vec<StreamedResponse>),
+    /// An empty batch: nothing to serve, nothing staged.
+    Empty,
     /// Everything up to the forward pass ran and the sweep is in flight.
     Staged(Box<StagedBatch>),
 }
@@ -597,12 +675,27 @@ impl GuillotineDeployment {
     ///    non-streaming decode latency — and its raw bytes flow through a
     ///    per-stream [`StreamingSanitizer`] that redacts forbidden content
     ///    on the fly, holding back at most `max_pattern_len - 1` bytes at
-    ///    chunk seams. The first chunk stamps the request's
-    ///    `time_to_first_token`.
+    ///    chunk seams, and appends what has settled to the stream's **one
+    ///    buffer**: a [`StreamChunk`] is a byte range of that buffer, not a
+    ///    `String` of its own. The first chunk stamps the request's
+    ///    `time_to_first_token`. The request's own policy binds the chunks
+    ///    as it binds the response: emission stops at `max_response_bytes`
+    ///    (cut on a character boundary, by the rule that truncates the
+    ///    response), and a `refuse_sanitized` stream holds its chunks back
+    ///    until stage 6 clears it, releasing none if it does not.
     /// 6. **Output screening** when a stream's decode completes and every
     ///    higher-priority survivor has screened (so verdict order matches
-    ///    the non-streaming pipeline exactly): one automaton pass over the
-    ///    whole response yields the delivered text and the stage verdict.
+    ///    the non-streaming pipeline exactly). There is **one automaton
+    ///    pass per answer**, and stage 5 was it: by now the stream's
+    ///    sanitizer has walked every byte, so the output sanitizer builds
+    ///    its verdict — flagged, severity, categories — from what the
+    ///    stream found ([`ScreenedResponse`]) and the delivered text is the
+    ///    stream's buffer; nothing scans the answer a second time. Every
+    ///    other detector in the stack inspects the response text as before,
+    ///    and a deployment whose stack declares no streaming categories
+    ///    screens the whole response here instead (the one-chunk case of
+    ///    the same code). A response nobody redacted is *moved* into its
+    ///    `ServeResponse` and its chunks are ranges of that very text.
     ///    Should a response verdict recommend `Sever` or worse (possible
     ///    with custom detectors), the escalation is applied on the spot;
     ///    if it cuts the ports, every in-flight stream is severed **at its
@@ -649,7 +742,7 @@ impl GuillotineDeployment {
         chunk_tokens: u64,
     ) -> Result<BatchStage> {
         if requests.is_empty() {
-            return Ok(BatchStage::Done(Vec::new()));
+            return Ok(BatchStage::Empty);
         }
         let entry = self.clock.now();
         self.clock.advance(QUEUE_LATENCY);
@@ -661,42 +754,18 @@ impl GuillotineDeployment {
         // already-cut deployment further).
         let now = self.clock.now();
         let stats = self.stats_window_snapshot();
-        let stats_verdict = self.hypervisor.observe_stats(stats, now);
+        let stats_verdict = Arc::new(self.hypervisor.observe_stats(stats, now));
 
+        // If the isolation level has cut the ports every request is refused
+        // here: no stream ever opens, so each ends `Completed` (severing is
+        // reserved for streams cut mid-batch) carrying only the stats
+        // verdict.
         let admission_level = self.isolation_level();
-        if !admission_level.ports_available() {
-            self.apply_pending_escalation()?;
-            let final_level = self.isolation_level();
-            // Refused at admission: the stream never opened, so it ends
-            // `Completed` (severing is reserved for streams cut mid-batch).
-            let refused = requests
-                .iter()
-                .map(|request| StreamedResponse {
-                    chunks: Vec::new(),
-                    end: StreamEnd::Completed,
-                    response: ServeResponse {
-                        session: request.session,
-                        outcome: ServeOutcomeKind::Refused,
-                        response: String::new(),
-                        verdicts: vec![StageVerdict {
-                            stage: ServeStage::SystemAnomaly,
-                            verdict: stats_verdict.clone(),
-                        }],
-                        latency: LatencyBreakdown {
-                            queue: QUEUE_LATENCY,
-                            ..LatencyBreakdown::default()
-                        },
-                        kv_hit: false,
-                        isolation: final_level,
-                    },
-                })
-                .collect();
-            return Ok(BatchStage::Done(refused));
-        }
+        let admitted = admission_level.ports_available();
 
-        let mut sever_verdict: Option<Verdict> = None;
+        let mut sever_verdict: Option<Arc<Verdict>> = None;
         if stats_verdict.flagged && stats_verdict.action >= RecommendedAction::Sever {
-            sever_verdict = Some(stats_verdict.clone());
+            sever_verdict = Some(Arc::clone(&stats_verdict));
         }
 
         // Priority order: higher priorities first, ties by submission order
@@ -706,41 +775,50 @@ impl GuillotineDeployment {
 
         let mut slots: Vec<Slot> = requests
             .iter()
-            .map(|_| Slot {
-                outcome: None,
-                response: String::new(),
-                verdicts: vec![StageVerdict {
+            .map(|_| {
+                // One entry per stage: system anomaly, input, output.
+                let mut verdicts = Vec::with_capacity(3);
+                verdicts.push(StageVerdict {
                     stage: ServeStage::SystemAnomaly,
-                    verdict: stats_verdict.clone(),
-                }],
-                latency: LatencyBreakdown {
-                    queue: QUEUE_LATENCY,
-                    ..LatencyBreakdown::default()
-                },
-                kv_hit: false,
-                isolation: admission_level,
+                    verdict: Arc::clone(&stats_verdict),
+                });
+                Slot {
+                    outcome: (!admitted).then_some(ServeOutcomeKind::Refused),
+                    response: None,
+                    verdicts,
+                    latency: LatencyBreakdown {
+                        queue: QUEUE_LATENCY,
+                        ..LatencyBreakdown::default()
+                    },
+                    kv_hit: false,
+                    isolation: admission_level,
+                    chunks: Vec::new(),
+                    undelivered: None,
+                    decoded: 0,
+                }
             })
             .collect();
 
         // Input shielding across the whole batch, before any forward pass.
-        for &i in &order {
+        let shielded: &[usize] = if admitted { &order } else { &[] };
+        for &i in shielded {
             let shield_start = self.clock.now();
             self.clock.advance(INPUT_SCREEN_LATENCY);
             let now = self.clock.now();
-            let verdict = self.hypervisor.screen_prompt(&requests[i].prompt, now);
+            let verdict = Arc::new(self.hypervisor.screen_prompt(&requests[i].prompt, now));
             self.tracer.push(
                 "serve.shield",
                 requests[i].ticket,
                 shield_start,
                 now,
-                String::new(),
+                format_args!(""),
             );
             slots[i].latency.input_screen = INPUT_SCREEN_LATENCY;
             if verdict.flagged && verdict.action > RecommendedAction::Sanitize {
                 slots[i].outcome = Some(ServeOutcomeKind::Refused);
             }
             if verdict.flagged && verdict.action >= RecommendedAction::Sever {
-                sever_verdict = Some(verdict.clone());
+                sever_verdict = Some(Arc::clone(&verdict));
             }
             slots[i].verdicts.push(StageVerdict {
                 stage: ServeStage::InputShield,
@@ -817,7 +895,7 @@ impl GuillotineDeployment {
                     requests[i].ticket,
                     prefill_start,
                     prefill_start.saturating_add(slots[i].latency.inference),
-                    String::new(),
+                    format_args!(""),
                 );
             }
             sweep
@@ -857,28 +935,11 @@ impl GuillotineDeployment {
             survivors,
             sweep,
         } = match stage {
-            BatchStage::Done(responses) => return Ok(responses),
+            BatchStage::Empty => return Ok(Vec::new()),
             BatchStage::Staged(staged) => *staged,
         };
         self.forward.collect(sweep);
 
-        // The live state of one in-flight stream. `done` flips when the
-        // stream screens (outcome set) or is severed (outcome left `None`,
-        // resolved to `Escalated` at assembly).
-        struct StreamState {
-            slot: usize,
-            answer: String,
-            total: u64,
-            decoded: u64,
-            /// Decode latency billed so far: the schedule's prefix at
-            /// `decoded`.
-            billed: SimDuration,
-            schedule: DecodeSchedule,
-            cursor: usize,
-            sanitizer: Option<StreamingSanitizer>,
-            chunks: Vec<StreamChunk>,
-            done: bool,
-        }
         let mut streams: Vec<StreamState> = survivors
             .iter()
             .map(|&i| {
@@ -887,7 +948,6 @@ impl GuillotineDeployment {
                 StreamState {
                     slot: i,
                     total,
-                    answer,
                     decoded: 0,
                     billed: SimDuration::ZERO,
                     schedule: self.forward.decode_schedule(total),
@@ -896,6 +956,10 @@ impl GuillotineDeployment {
                         .stream_categories
                         .as_ref()
                         .map(|compiled| StreamingSanitizer::new(Arc::clone(compiled))),
+                    // A clean answer streams through byte for byte, so its
+                    // length sizes the buffer exactly.
+                    text: String::with_capacity(answer.len()),
+                    answer,
                     // One chunk per decode round, plus the final flush.
                     chunks: Vec::with_capacity(total.div_ceil(chunk_tokens) as usize + 1),
                     done: false,
@@ -924,18 +988,15 @@ impl GuillotineDeployment {
                 stream.billed = after;
                 let chunk_start = self.clock.now();
                 self.clock.advance(delta);
-                if self.tracer.is_enabled() {
-                    // No note: chunk offset and step are recoverable from
-                    // the span's position among the ticket's chunk spans,
-                    // and a per-round format! would dominate tracing cost.
-                    self.tracer.push(
-                        "stream.chunk",
-                        requests[stream.slot].ticket,
-                        chunk_start,
-                        self.clock.now(),
-                        String::new(),
-                    );
-                }
+                // No note: chunk offset and step are recoverable from the
+                // span's position among the ticket's chunk spans.
+                self.tracer.push(
+                    "stream.chunk",
+                    requests[stream.slot].ticket,
+                    chunk_start,
+                    self.clock.now(),
+                    format_args!(""),
+                );
                 let slot = &mut slots[stream.slot];
                 slot.latency.inference = slot.latency.inference.saturating_add(delta);
                 if slot.latency.time_to_first_token == SimDuration::ZERO {
@@ -944,76 +1005,80 @@ impl GuillotineDeployment {
                 let offset = stream.decoded;
                 stream.decoded += step;
                 let target = decode_byte_target(&stream.answer, stream.decoded, stream.total);
-                let raw = &stream.answer[stream.cursor..target];
-                stream.cursor = target;
-                let emitted = match stream.sanitizer.as_mut() {
-                    Some(sanitizer) => sanitizer.push(raw),
-                    None => raw.to_string(),
-                };
-                if !emitted.is_empty() {
-                    stream.chunks.push(StreamChunk {
-                        offset_tokens: offset,
-                        text: emitted,
-                        at: self.clock.now(),
-                    });
-                }
+                stream.decode_to(
+                    target,
+                    requests[stream.slot].policy.max_response_bytes,
+                    offset,
+                    self.clock.now(),
+                );
             }
             // Screen the leading run of decode-complete streams.
             for k in 0..streams.len() {
-                if streams[k].done {
+                let stream = &mut streams[k];
+                if stream.done {
                     continue;
                 }
-                if streams[k].decoded < streams[k].total {
+                if stream.decoded < stream.total {
                     break;
                 }
-                // Flush the sanitizer's seam buffer before the final screen
-                // so the stream's chunks concatenate to the full sanitized
-                // text.
-                let flushed = match streams[k].sanitizer.as_mut() {
-                    Some(sanitizer) => sanitizer.finish(),
-                    None => String::new(),
-                };
-                if !flushed.is_empty() {
-                    let offset = streams[k].decoded;
-                    let at = self.clock.now();
-                    streams[k].chunks.push(StreamChunk {
-                        offset_tokens: offset,
-                        text: flushed,
-                        at,
-                    });
-                }
+                let i = stream.slot;
+                let policy = requests[i].policy;
+                stream.flush(policy.max_response_bytes, self.clock.now());
                 let sanitize_start = self.clock.now();
                 self.clock.advance(OUTPUT_SCREEN_LATENCY);
                 let now = self.clock.now();
-                let i = streams[k].slot;
                 self.tracer.push(
                     "serve.sanitize",
                     requests[i].ticket,
                     sanitize_start,
                     now,
-                    String::new(),
+                    format_args!(""),
                 );
-                let (delivered, verdict) = self.hypervisor.screen_response(&streams[k].answer, now);
+                // One automaton pass per answer: the stream's sanitizer has
+                // walked every byte, so the output sanitizer's verdict is
+                // built from what it found, not from a second scan. With no
+                // sanitizer on the stream this is the whole-response screen.
+                let screened = stream.sanitizer.as_ref().map(|sanitizer| ScreenedResponse {
+                    stream: sanitizer,
+                    redacted: &stream.text,
+                });
+                let (delivered, verdict) =
+                    self.hypervisor
+                        .screen_streamed_response(&stream.answer, screened, now);
                 // Borrowed text is the answer itself (or nothing at all): a
                 // response nobody redacted is moved into its slot, never
-                // copied.
-                let mut delivered = match delivered {
-                    Cow::Owned(redacted) => redacted,
-                    Cow::Borrowed("") => String::new(),
-                    Cow::Borrowed(_) => std::mem::take(&mut streams[k].answer),
+                // copied. Unless the stream's sanitizer redacted something,
+                // the stream's buffer is that answer byte for byte: the
+                // chunks are ranges of the text being delivered and the
+                // buffer is dropped. Otherwise it is kept beside the
+                // response for the chunks to be read from.
+                let redacted = stream
+                    .sanitizer
+                    .as_ref()
+                    .is_some_and(|sanitizer| sanitizer.hit_categories().next().is_some());
+                let (mut delivered, undelivered) = match delivered {
+                    Cow::Borrowed("") => (None, Some(std::mem::take(&mut stream.text))),
+                    Cow::Borrowed(_) => (
+                        Some(std::mem::take(&mut stream.answer)),
+                        redacted.then(|| std::mem::take(&mut stream.text)),
+                    ),
+                    Cow::Owned(replacement) => {
+                        (Some(replacement), Some(std::mem::take(&mut stream.text)))
+                    }
                 };
+                let verdict = Arc::new(verdict);
                 slots[i].latency.output_screen = OUTPUT_SCREEN_LATENCY;
                 let escalates = verdict.flagged && verdict.action >= RecommendedAction::Sever;
                 if escalates {
-                    sever_verdict = Some(verdict.clone());
+                    sever_verdict = Some(Arc::clone(&verdict));
                 }
-                let policy = requests[i].policy;
                 // Policy truncation runs before classification so a response
                 // cut to nothing is a Refused, never an empty Delivered.
-                if let Some(max) = policy.max_response_bytes {
-                    truncate_on_char_boundary(&mut delivered, max);
+                if let (Some(text), Some(max)) = (&mut delivered, policy.max_response_bytes) {
+                    truncate_on_char_boundary(text, max);
                 }
-                let outcome = if delivered.is_empty() {
+                let delivered = delivered.filter(|text| !text.is_empty());
+                let outcome = if delivered.is_none() {
                     ServeOutcomeKind::Refused
                 } else if verdict.flagged && verdict.action >= RecommendedAction::Sanitize {
                     if policy.refuse_sanitized {
@@ -1035,7 +1100,9 @@ impl GuillotineDeployment {
                     stage: ServeStage::OutputSanitizer,
                     verdict,
                 });
-                streams[k].done = true;
+                slots[i].chunks = std::mem::take(&mut stream.chunks);
+                slots[i].undelivered = undelivered;
+                stream.done = true;
                 unfinished -= 1;
                 if escalates {
                     self.apply_pending_escalation()?;
@@ -1049,16 +1116,14 @@ impl GuillotineDeployment {
                     // dropped with the stream.
                     for stream in streams.iter_mut().filter(|s| !s.done) {
                         stream.done = true;
-                        if self.tracer.is_enabled() {
-                            let at = self.clock.now();
-                            self.tracer.push(
-                                "stream.sever",
-                                requests[stream.slot].ticket,
-                                at,
-                                at,
-                                format!("at_token={}", stream.decoded),
-                            );
-                        }
+                        let at = self.clock.now();
+                        self.tracer.push(
+                            "stream.sever",
+                            requests[stream.slot].ticket,
+                            at,
+                            at,
+                            format_args!("at_token={}", stream.decoded),
+                        );
                     }
                     break 'streaming;
                 }
@@ -1069,38 +1134,50 @@ impl GuillotineDeployment {
         self.apply_pending_escalation()?;
         let final_level = self.isolation_level();
         let severing_verdict = sever_verdict.unwrap_or(stats_verdict);
-        let mut stream_chunks: Vec<Vec<StreamChunk>> =
-            requests.iter().map(|_| Vec::new()).collect();
-        let mut stream_decoded: Vec<u64> = vec![0; requests.len()];
         for stream in streams {
-            stream_decoded[stream.slot] = stream.decoded;
-            stream_chunks[stream.slot] = stream.chunks;
+            let slot = &mut slots[stream.slot];
+            if slot.outcome.is_none() {
+                // Severed: what escaped before the cut is all there is.
+                slot.undelivered = Some(stream.text);
+                slot.chunks = stream.chunks;
+                slot.decoded = stream.decoded;
+            }
         }
         Ok(requests
             .iter()
             .zip(slots)
-            .enumerate()
-            .map(|(idx, (request, slot))| {
+            .map(|(request, mut slot)| {
                 let outcome = slot.outcome.unwrap_or(ServeOutcomeKind::Escalated);
+                let delivered = matches!(
+                    outcome,
+                    ServeOutcomeKind::Delivered | ServeOutcomeKind::Sanitized
+                );
                 // `SeveredMidStream` if and only if the request was cut off
                 // by a batch-level escalation — including pre-decode cuts,
                 // which sever at token zero.
                 let end = if outcome == ServeOutcomeKind::Escalated {
                     self.severed_streams += 1;
                     StreamEnd::SeveredMidStream {
-                        at_token: stream_decoded[idx],
-                        verdict: severing_verdict.clone(),
+                        at_token: slot.decoded,
+                        verdict: Verdict::clone(&severing_verdict),
                     }
                 } else {
                     StreamEnd::Completed
                 };
-                StreamedResponse {
-                    chunks: std::mem::take(&mut stream_chunks[idx]),
+                // A `refuse_sanitized` stream holds its chunks back until
+                // its output screen clears: an answer that was not
+                // delivered releases none.
+                if request.policy.refuse_sanitized && !delivered {
+                    slot.chunks.clear();
+                }
+                StreamedResponse::new(
+                    slot.chunks,
+                    slot.undelivered,
                     end,
-                    response: ServeResponse {
+                    ServeResponse {
                         session: request.session,
                         outcome,
-                        response: slot.response,
+                        response: slot.response.unwrap_or_default(),
                         verdicts: slot.verdicts,
                         latency: slot.latency,
                         kv_hit: slot.kv_hit,
@@ -1109,14 +1186,13 @@ impl GuillotineDeployment {
                         // was refused or cut off completes with the batch
                         // itself, at whatever level the escalations left the
                         // deployment.
-                        isolation: match outcome {
-                            ServeOutcomeKind::Delivered | ServeOutcomeKind::Sanitized => {
-                                slot.isolation
-                            }
-                            _ => final_level,
+                        isolation: if delivered {
+                            slot.isolation
+                        } else {
+                            final_level
                         },
                     },
-                }
+                )
             })
             .collect())
     }

@@ -838,6 +838,7 @@ pub fn e8_detectors(n: usize, adversarial_fraction: f64, seed: u64) -> DetectorR
             ModelObservation::Response {
                 model,
                 text: response.as_str().into(),
+                screened: None,
             },
         ] {
             if detector.inspect(&obs).flagged {

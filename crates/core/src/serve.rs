@@ -13,6 +13,7 @@ use guillotine_physical::IsolationLevel;
 use guillotine_types::encode::Escaped;
 use guillotine_types::{SessionId, SimDuration, TicketId};
 use std::fmt::{self, Write};
+use std::sync::Arc;
 
 /// Scheduling priority of one request within a batch.
 ///
@@ -230,8 +231,10 @@ pub enum ServeStage {
 pub struct StageVerdict {
     /// Where in the pipeline the verdict was produced.
     pub stage: ServeStage,
-    /// The aggregated verdict of the detector stack at that stage.
-    pub verdict: Verdict,
+    /// The aggregated verdict of the detector stack at that stage. Behind
+    /// an `Arc` because a batch has one `SystemAnomaly` verdict and every
+    /// response of the batch carries it: shared, not copied per request.
+    pub verdict: Arc<Verdict>,
 }
 
 /// Simulated time spent in each stage of the pipeline for one request.
@@ -326,20 +329,26 @@ impl ServeResponse {
         self.verdicts
             .iter()
             .find(|v| v.stage == stage)
-            .map(|v| &v.verdict)
+            .map(|v| &*v.verdict)
     }
 }
 
-/// Truncates `text` to at most `max` bytes on a character boundary.
-pub(crate) fn truncate_on_char_boundary(text: &mut String, max: usize) {
+/// The largest character boundary of `text` at or below `max` bytes: where
+/// a `max`-byte cap cuts it.
+pub(crate) fn char_boundary_at_or_below(text: &str, max: usize) -> usize {
     if text.len() <= max {
-        return;
+        return text.len();
     }
     let mut cut = max;
     while cut > 0 && !text.is_char_boundary(cut) {
         cut -= 1;
     }
-    text.truncate(cut);
+    cut
+}
+
+/// Truncates `text` to at most `max` bytes on a character boundary.
+pub(crate) fn truncate_on_char_boundary(text: &mut String, max: usize) {
+    text.truncate(char_boundary_at_or_below(text, max));
 }
 
 #[cfg(test)]

@@ -6,8 +6,9 @@
 //! finished transcripts: a detector that fires at token 50 severs the stream
 //! at token 50 instead of retroactively redacting a completed string.
 //!
-//! * [`StreamChunk`] — one sanitized slice of a sequence's output, stamped
-//!   with the simulated instant it left the decoder,
+//! * [`StreamChunk`] — one sanitized slice of a sequence's output (a byte
+//!   range of the stream's one buffer), stamped with the simulated instant
+//!   it left the decoder,
 //! * [`StreamEnd`] — the typed terminal event closing every stream:
 //!   [`StreamEnd::Completed`] for a pipeline that ran to its natural
 //!   conclusion, [`StreamEnd::SeveredMidStream`] when a mid-batch escalation
@@ -41,6 +42,7 @@
 use crate::serve::ServeResponse;
 use guillotine_detect::Verdict;
 use guillotine_types::SimInstant;
+use std::ops::Range;
 
 /// Default number of tokens decoded per streaming chunk.
 ///
@@ -49,16 +51,19 @@ use guillotine_types::SimInstant;
 /// large enough that chunk overhead stays negligible.
 pub const DEFAULT_CHUNK_TOKENS: u64 = 8;
 
-/// One sanitized slice of a streaming response.
+/// One sanitized slice of a streaming response: a byte range of its
+/// stream's single sanitized buffer, read with
+/// [`StreamedResponse::chunk_text`]. A stream allocates that one buffer,
+/// not a `String` per chunk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamChunk {
     /// Token offset of the first token this chunk's text was decoded from.
     pub offset_tokens: u64,
-    /// Sanitized text emitted with this chunk. May lag the decoded tokens:
-    /// the sanitizer withholds seam-spanning bytes per the carry-over
-    /// contract, so a chunk's text can be shorter (or longer, when a carry
-    /// resolves) than its token span suggests.
-    pub text: String,
+    /// Where this chunk's sanitized text lies in its stream's buffer. May
+    /// lag the decoded tokens: the sanitizer withholds seam-spanning bytes
+    /// per the carry-over contract, so a chunk's text can be shorter (or
+    /// longer, when a carry resolves) than its token span suggests.
+    pub bytes: Range<usize>,
     /// Simulated instant the chunk left the decoder.
     pub at: SimInstant,
 }
@@ -98,11 +103,18 @@ impl<V> StreamEnd<V> {
 /// [`ServeResponse`] (identical to what the non-streaming `serve_batch`
 /// returns — it *is* what `serve_batch` returns, since the non-streaming
 /// path drains this one).
+///
+/// The request's own policy binds its chunks as it binds its response: no
+/// chunk carries a byte past `max_response_bytes`, and a `refuse_sanitized`
+/// stream holds its chunks back until its output screen clears, releasing
+/// none if the response is not delivered. For every stream that completes
+/// with a delivered response, the chunks concatenate to exactly
+/// `response.response`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamedResponse {
     /// Sanitized chunks in the order they left the pipeline. Empty for
-    /// requests refused before decode and for streams the sanitizer held
-    /// back entirely.
+    /// requests refused before decode, for streams the sanitizer held back
+    /// entirely, and for streams their own policy refused.
     pub chunks: Vec<StreamChunk>,
     /// How the stream terminated. [`StreamEnd::SeveredMidStream`] if and
     /// only if the response outcome is
@@ -112,23 +124,52 @@ pub struct StreamedResponse {
     pub end: StreamEnd<Verdict>,
     /// The structured response assembled after the stream terminated.
     pub response: ServeResponse,
+    /// The stream's sanitized buffer, kept apart only when the chunks were
+    /// not cut from the delivered text: a severed stream, or one whose
+    /// response a verdict withheld or replaced after chunks had left. When
+    /// `None`, the chunks are ranges of `response.response` itself — the
+    /// text exists once.
+    undelivered: Option<String>,
 }
 
 impl StreamedResponse {
+    pub(crate) fn new(
+        chunks: Vec<StreamChunk>,
+        undelivered: Option<String>,
+        end: StreamEnd<Verdict>,
+        response: ServeResponse,
+    ) -> Self {
+        StreamedResponse {
+            // Nothing reads the buffer of a stream that released no chunk.
+            undelivered: undelivered.filter(|_| !chunks.is_empty()),
+            chunks,
+            end,
+            response,
+        }
+    }
+
     /// True when the stream was severed mid-flight by a batch-level
     /// escalation.
     pub fn is_severed(&self) -> bool {
         self.end.is_severed()
     }
 
+    /// The sanitized text `chunk` (one of this stream's chunks) carried.
+    pub fn chunk_text(&self, chunk: &StreamChunk) -> &str {
+        self.undelivered
+            .as_deref()
+            .unwrap_or(&self.response.response)
+            .get(chunk.bytes.clone())
+            .unwrap_or_default()
+    }
+
     /// Concatenation of every chunk that reached the client — the text a
     /// streaming consumer would have assembled.
     pub fn streamed_text(&self) -> String {
-        let mut text = String::new();
-        for chunk in &self.chunks {
-            text.push_str(&chunk.text);
-        }
-        text
+        self.chunks
+            .iter()
+            .map(|chunk| self.chunk_text(chunk))
+            .collect()
     }
 }
 

@@ -151,7 +151,7 @@ impl AnomalyDetector {
 }
 
 impl Detector for AnomalyDetector {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "system-anomaly"
     }
 

@@ -3,6 +3,7 @@
 use crate::observation::ModelObservation;
 use crate::registry::DetectorRegistry;
 use crate::verdict::{Detector, RecommendedAction, Verdict};
+use std::fmt::Write;
 
 /// A detector that fans observations out to a set of child detectors and
 /// aggregates their verdicts.
@@ -10,11 +11,10 @@ use crate::verdict::{Detector, RecommendedAction, Verdict};
 /// The aggregate verdict takes the maximum score and the most severe
 /// recommended action across children, and concatenates the reasons of every
 /// flagging child — administrators reviewing the audit log want all the
-/// evidence, not just the loudest signal.
+/// evidence, not just the loudest signal. It keeps no record of its own:
+/// the hypervisor's event log is the audit trail of flagged verdicts.
 pub struct CompositeDetector {
     detectors: Vec<Box<dyn Detector>>,
-    history: Vec<Verdict>,
-    history_cap: usize,
 }
 
 impl Default for CompositeDetector {
@@ -28,8 +28,6 @@ impl CompositeDetector {
     pub fn new() -> Self {
         CompositeDetector {
             detectors: Vec::new(),
-            history: Vec::new(),
-            history_cap: 4096,
         }
     }
 
@@ -64,53 +62,50 @@ impl CompositeDetector {
     pub fn is_empty(&self) -> bool {
         self.detectors.is_empty()
     }
-
-    /// Flagged verdicts retained for audit.
-    pub fn flagged_history(&self) -> &[Verdict] {
-        &self.history
-    }
 }
 
 impl Detector for CompositeDetector {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "composite"
     }
 
     fn inspect(&mut self, observation: &ModelObservation) -> Verdict {
-        let children: Vec<Verdict> = self
+        let mut children: Vec<Verdict> = self
             .detectors
             .iter_mut()
             .map(|d| d.inspect(observation))
             .collect();
-        let flagged: Vec<&Verdict> = children.iter().filter(|v| v.flagged).collect();
-        if flagged.is_empty() {
+        if !children.iter().any(|v| v.flagged) {
             return Verdict::clean(self.name()).with_contributors(children);
         }
-        let score = flagged.iter().map(|v| v.score).fold(0.0, f64::max);
-        let action = flagged
-            .iter()
-            .map(|v| v.action)
-            .max()
-            .unwrap_or(RecommendedAction::Allow);
-        let replacement = flagged.iter().find_map(|v| v.replacement.clone());
-        let reason = flagged
-            .iter()
-            .map(|v| format!("[{}] {}", v.detector, v.reason))
-            .collect::<Vec<_>>()
-            .join(" | ");
-        let verdict = Verdict {
-            detector: self.name().to_string(),
+        let mut score: f64 = 0.0;
+        let mut action = RecommendedAction::Allow;
+        // audit:allow(no-string-alloc, flagged branch: the aggregate reason is built only when a child flagged)
+        let mut reason = String::new();
+        for v in children.iter().filter(|v| v.flagged) {
+            score = score.max(v.score);
+            action = action.max(v.action);
+            if !reason.is_empty() {
+                reason.push_str(" | ");
+            }
+            // Writing to a `String` cannot fail.
+            let _ = write!(reason, "[{}] {}", v.detector, v.reason);
+        }
+        // The first flagging child that mitigated hands its replacement up:
+        // moved, not copied.
+        let replacement = children
+            .iter_mut()
+            .filter(|v| v.flagged)
+            .find_map(|v| v.replacement.take());
+        Verdict {
+            detector: self.name().into(),
             flagged: true,
             score,
-            reason,
+            reason: reason.into(),
             action,
             replacement,
             contributors: children,
-        };
-        if self.history.len() < self.history_cap {
-            self.history.push(verdict.clone());
         }
-        verdict
     }
 }
 
@@ -167,7 +162,6 @@ mod tests {
             text: "What is the weather like in Boston?".into(),
         });
         assert!(!v.flagged);
-        assert!(c.flagged_history().is_empty());
     }
 
     #[test]
@@ -181,7 +175,6 @@ mod tests {
         assert!(v.flagged);
         assert!(v.score > 0.9);
         assert_eq!(v.action, RecommendedAction::Sever);
-        assert_eq!(c.flagged_history().len(), 1);
     }
 
     #[test]

@@ -77,5 +77,5 @@ pub use observation::{ActivationStep, ActivationTrace, ModelObservation, SystemS
 pub use output_sanitizer::{CompiledCategories, ForbiddenCategory, OutputSanitizer};
 pub use registry::DetectorRegistry;
 pub use steering::ActivationSteering;
-pub use streaming::StreamingSanitizer;
+pub use streaming::{ScreenedResponse, StreamingSanitizer};
 pub use verdict::{Detector, RecommendedAction, Verdict};

@@ -1,5 +1,6 @@
 //! The observations a Guillotine hypervisor can feed to detectors.
 
+use crate::streaming::ScreenedResponse;
 use guillotine_types::ModelId;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -88,6 +89,10 @@ pub enum ModelObservation<'a> {
         model: ModelId,
         /// Response text.
         text: Cow<'a, str>,
+        /// The output automaton's finished pass over `text`, when the
+        /// response was streamed through a sanitizer on its way here; `None`
+        /// for a response nobody has screened yet.
+        screened: Option<ScreenedResponse<'a>>,
     },
     /// The activation trace of one forward pass, read over the private bus.
     Activations {

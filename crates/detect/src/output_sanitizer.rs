@@ -14,6 +14,7 @@
 //! shard's sanitizer ([`OutputSanitizer::with_compiled`]).
 
 use crate::observation::ModelObservation;
+use crate::streaming::StreamingSanitizer;
 use crate::verdict::{Detector, RecommendedAction, Verdict};
 use guillotine_scan::{Matcher, MatcherBuilder};
 use serde::{Deserialize, Serialize};
@@ -236,6 +237,12 @@ impl OutputSanitizer {
     ///
     /// Clean text — the common case — comes back borrowed: the pass
     /// collects nothing until the first hit, so it allocates nothing.
+    ///
+    /// This is the whole-string form, and the reference the chunked one is
+    /// held to: the serving path never calls it — a response is screened by
+    /// the pass of the [`StreamingSanitizer`] it streamed through (or by a
+    /// one-chunk pass of the same code, see `inspect`), and the seam
+    /// proptests pin the two byte-identical for every chunking.
     pub fn sanitize<'t>(&self, text: &'t str) -> (Cow<'t, str>, Vec<String>, f64) {
         let mut spans: Vec<(usize, usize)> = Vec::new();
         let mut category_hit: Vec<bool> = Vec::new();
@@ -286,39 +293,54 @@ impl OutputSanitizer {
         clean.push_str(&text[cursor..]);
         (Cow::Owned(clean), matched, severity)
     }
+
+    /// The verdict for a response whose pass `stream` has finished, with
+    /// `redacted` the text that pass produced.
+    fn verdict_of(&mut self, stream: &StreamingSanitizer, redacted: impl Into<String>) -> Verdict {
+        let mut hits = stream.hit_categories();
+        let Some(first) = hits.next() else {
+            return Verdict::clean(self.name());
+        };
+        self.sanitized += 1;
+        let severity = stream.max_severity();
+        let action = if severity >= 0.9 {
+            RecommendedAction::Restrict
+        } else {
+            RecommendedAction::Sanitize
+        };
+        // audit:allow(no-string-alloc, flagged branch: the reason names the categories that hit)
+        let mut reason = format!("response contained forbidden categories: {}", first.name);
+        for category in hits {
+            reason.push_str(", ");
+            reason.push_str(&category.name);
+        }
+        Verdict::flagged(self.name(), severity, reason, action).with_replacement(redacted)
+    }
 }
 
 impl Detector for OutputSanitizer {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "output-sanitizer"
     }
 
     fn inspect(&mut self, observation: &ModelObservation) -> Verdict {
-        let text = match observation {
-            ModelObservation::Response { text, .. } => text,
-            _ => return Verdict::clean(self.name()),
+        let ModelObservation::Response { text, screened, .. } = observation else {
+            return Verdict::clean(self.name());
         };
         self.inspected += 1;
-        let (clean, matched, severity) = self.sanitize(text);
-        if matched.is_empty() {
-            Verdict::clean(self.name())
-        } else {
-            self.sanitized += 1;
-            let action = if severity >= 0.9 {
-                RecommendedAction::Restrict
-            } else {
-                RecommendedAction::Sanitize
-            };
-            Verdict::flagged(
-                self.name(),
-                severity,
-                format!(
-                    "response contained forbidden categories: {}",
-                    matched.join(", ")
-                ),
-                action,
-            )
-            .with_replacement(clean)
+        // A response streamed through this sanitizer's own categories has
+        // been walked already: the stream's result is the screen's result.
+        match screened.filter(|s| Arc::ptr_eq(s.stream.compiled(), &self.compiled)) {
+            Some(screened) => self.verdict_of(screened.stream, screened.redacted),
+            None => {
+                // Nobody streamed it: the whole response is one chunk of
+                // the same pass.
+                let mut stream = StreamingSanitizer::new(Arc::clone(&self.compiled));
+                let mut redacted = String::with_capacity(text.len());
+                stream.push_into(text, &mut redacted);
+                stream.finish_into(&mut redacted);
+                self.verdict_of(&stream, redacted)
+            }
         }
     }
 }
@@ -332,6 +354,7 @@ mod tests {
         ModelObservation::Response {
             model: ModelId::new(0),
             text: text.into(),
+            screened: None,
         }
     }
 

@@ -94,7 +94,7 @@ impl ActivationSteering {
 }
 
 impl Detector for ActivationSteering {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "activation-steering"
     }
 
@@ -111,6 +111,7 @@ impl Detector for ActivationSteering {
         self.steered += 1;
         let (steered, redirected) = self.steer(trace);
         let score = (mass / (mass + 1.0)).clamp(0.0, 1.0);
+        // audit:allow(no-string-alloc, flagged branch: the reason carries the steered mass and step count)
         let summary = format!(
             "steered {:.2} activation mass away from {} dangerous steps (trace length {})",
             redirected,
@@ -124,6 +125,7 @@ impl Detector for ActivationSteering {
             trace.len()
         );
         Verdict::flagged(self.name(), score, summary, RecommendedAction::Sanitize)
+            // audit:allow(no-string-alloc, flagged branch: the replacement names the steered trace)
             .with_replacement(format!("steered-trace:{}", steered.len()))
     }
 }

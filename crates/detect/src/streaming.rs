@@ -32,9 +32,21 @@
 //! is going to be replaced by one redaction marker regardless), so the
 //! buffer stays bounded even while a chained overlap is in flight.
 //!
+//! # One buffer per stream, one pass per answer
+//!
+//! Settled text is *appended to a buffer the caller owns*
+//! ([`StreamingSanitizer::push_into`] / [`StreamingSanitizer::finish_into`]):
+//! a stream's chunks are ranges of that one buffer, not a `String` each.
+//! And because the automaton has walked every byte by the time the stream
+//! finishes, the finished sanitizer *is* the output screen's result — which
+//! categories hit, how severe, and (in the buffer) the redacted text. A
+//! [`ScreenedResponse`] carries that to the [`OutputSanitizer`] detector,
+//! which builds its verdict from it instead of scanning the answer a second
+//! time; a response nobody streamed is simply the one-chunk case.
+//!
 //! [`Matcher::scan_window`]: guillotine_scan::Matcher::scan_window
 
-use crate::output_sanitizer::{CompiledCategories, OutputSanitizer};
+use crate::output_sanitizer::{CompiledCategories, ForbiddenCategory, OutputSanitizer};
 use guillotine_scan::ScanState;
 use std::sync::Arc;
 
@@ -64,6 +76,17 @@ fn snap_down(s: &str, mut i: usize) -> usize {
 /// out.push_str(&stream.push("rsor ships today"));
 /// out.push_str(&stream.finish());
 /// assert_eq!(out, "a common [REDACTED BY GUILLOTINE] ships today");
+///
+/// // The same stream into one caller-owned buffer: a chunk is the range
+/// // of bytes its push appended, not a `String` of its own.
+/// let mut stream = StreamingSanitizer::new(compiled);
+/// let mut buffer = String::new();
+/// stream.push_into("a common precu", &mut buffer);
+/// let seam = buffer.len();
+/// stream.push_into("rsor ships today", &mut buffer);
+/// stream.finish_into(&mut buffer);
+/// assert_eq!(buffer, out);
+/// assert!(!buffer[..seam].contains("precu"), "seam bytes are withheld");
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamingSanitizer {
@@ -90,7 +113,8 @@ pub struct StreamingSanitizer {
     /// its clean prefix is emitted, its bytes up to `tail_offset` dropped,
     /// and later matches starting before this end still extend it.
     open_end: Option<usize>,
-    /// Which categories have had a marker confirmed so far.
+    /// Which categories have had a marker confirmed so far; empty until
+    /// the first hit, so a clean stream never allocates it.
     category_hit: Vec<bool>,
     /// Bytes fed to the automaton so far.
     scanned: u64,
@@ -100,7 +124,6 @@ pub struct StreamingSanitizer {
 impl StreamingSanitizer {
     /// Creates a streaming sanitizer over a compiled category set.
     pub fn new(compiled: Arc<CompiledCategories>) -> Self {
-        let categories = compiled.categories().len();
         StreamingSanitizer {
             compiled,
             tail: String::new(),
@@ -111,28 +134,53 @@ impl StreamingSanitizer {
             spans: Vec::new(),
             tentative: Vec::new(),
             open_end: None,
-            category_hit: vec![false; categories],
+            category_hit: Vec::new(),
             scanned: 0,
             finished: false,
         }
     }
 
-    /// Feeds the next chunk of raw text; returns whatever sanitized text is
-    /// now settled (possibly empty — the seam buffer may withhold bytes).
-    pub fn push(&mut self, chunk: &str) -> String {
+    /// Feeds the next chunk of raw text, appending whatever sanitized text
+    /// is now settled to `out` (possibly nothing — the seam buffer may
+    /// withhold bytes). `out` is the stream's one buffer: the bytes a call
+    /// appends are that chunk's text.
+    pub fn push_into(&mut self, chunk: &str, out: &mut String) {
         debug_assert!(!self.finished, "push after finish");
         let scanned_to = self.tail.len();
+        // Room for a chunk this size on top of a full carry, so a stream of
+        // even chunks sizes the tail once.
+        let carry = scanned_to.max(self.compiled.matcher().max_pattern_len());
+        self.tail.reserve(carry + chunk.len() - scanned_to);
         self.tail.push_str(chunk);
         self.total += chunk.len();
-        self.resolve(scanned_to, false)
+        self.resolve(scanned_to, false, out);
     }
 
-    /// Declares the end of the stream, flushing the carry-over buffer and
-    /// resolving any pending redaction group. Terminal: `push` must not be
-    /// called afterwards.
-    pub fn finish(&mut self) -> String {
+    /// Declares the end of the stream, appending the carry-over buffer and
+    /// any pending redaction group to `out`. Terminal: nothing may be
+    /// pushed afterwards.
+    pub fn finish_into(&mut self, out: &mut String) {
         self.finished = true;
-        self.resolve(self.tail.len(), true)
+        self.resolve(self.tail.len(), true, out);
+    }
+
+    /// [`StreamingSanitizer::push_into`] into a fresh `String`.
+    pub fn push(&mut self, chunk: &str) -> String {
+        let mut out = String::new();
+        self.push_into(chunk, &mut out);
+        out
+    }
+
+    /// [`StreamingSanitizer::finish_into`] into a fresh `String`.
+    pub fn finish(&mut self) -> String {
+        let mut out = String::new();
+        self.finish_into(&mut out);
+        out
+    }
+
+    /// The compiled category set this stream scans with.
+    pub fn compiled(&self) -> &Arc<CompiledCategories> {
+        &self.compiled
     }
 
     /// Bytes currently withheld at the seam (the carry-over buffer).
@@ -147,33 +195,36 @@ impl StreamingSanitizer {
         self.scanned
     }
 
-    /// Names of the categories whose markers have been confirmed so far, in
+    /// The categories whose markers have been confirmed so far, in
     /// registration order.
-    pub fn matched_categories(&self) -> Vec<String> {
+    pub fn hit_categories(&self) -> impl Iterator<Item = &ForbiddenCategory> {
         self.compiled
             .categories()
             .iter()
             .zip(&self.category_hit)
             .filter(|&(_, &hit)| hit)
-            .map(|(category, _)| category.name.clone())
+            .map(|(category, _)| category)
+    }
+
+    /// Names of the categories whose markers have been confirmed so far, in
+    /// registration order.
+    pub fn matched_categories(&self) -> Vec<String> {
+        self.hit_categories()
+            .map(|category| category.name.clone())
             .collect()
     }
 
     /// Maximum severity among the matched categories (0.0 if none).
     pub fn max_severity(&self) -> f64 {
-        self.compiled
-            .categories()
-            .iter()
-            .zip(&self.category_hit)
-            .filter(|(_, &hit)| hit)
-            .fold(0.0_f64, |acc, (category, _)| acc.max(category.severity))
+        self.hit_categories()
+            .fold(0.0_f64, |acc, category| acc.max(category.severity))
     }
 
     /// One resolution pass: scan `tail[scanned_to..]` (the bytes just
     /// pushed) from the carried automaton state, settle everything left of
-    /// the frontier, emit its clean text and closed redaction groups, and
-    /// trim the tail to the frontier.
-    fn resolve(&mut self, scanned_to: usize, at_end: bool) -> String {
+    /// the frontier, append its clean text and closed redaction groups to
+    /// `out`, and trim the tail to the frontier.
+    fn resolve(&mut self, scanned_to: usize, at_end: bool, out: &mut String) {
         let StreamingSanitizer {
             compiled,
             tail,
@@ -186,6 +237,12 @@ impl StreamingSanitizer {
         let max_len = matcher.max_pattern_len();
         let base = self.tail_offset;
         let total = self.total;
+        let mut hit = |pattern: usize| {
+            if category_hit.is_empty() {
+                category_hit.resize(compiled.categories().len(), false);
+            }
+            category_hit[compiled.category_of_pattern(pattern)] = true;
+        };
 
         // The byte after a seam-flush word-bounded match has arrived (or
         // never will): the match stands unless that byte extends the word.
@@ -196,7 +253,7 @@ impl StreamingSanitizer {
                 .is_some_and(|&b| is_word_byte(b));
             for (pattern, start) in tentative.drain(..) {
                 if !extends_word {
-                    category_hit[compiled.category_of_pattern(pattern)] = true;
+                    hit(pattern);
                     spans.push((start, base + scanned_to));
                 }
             }
@@ -211,7 +268,7 @@ impl StreamingSanitizer {
                 if is_tentative {
                     tentative.push((m.pattern, base + m.start));
                 } else {
-                    category_hit[compiled.category_of_pattern(m.pattern)] = true;
+                    hit(m.pattern);
                     spans.push((base + m.start, base + m.end));
                 }
                 true
@@ -233,7 +290,6 @@ impl StreamingSanitizer {
         }
         frontier = base + snap_down(tail, frontier - base);
 
-        let mut out = String::new();
         if spans.is_empty() && self.open_end.is_none() {
             // Nothing to redact in sight: the settled text is clean.
             out.push_str(&tail[..frontier - base]);
@@ -309,14 +365,34 @@ impl StreamingSanitizer {
             tail.drain(..cut);
             self.tail_offset = frontier;
         }
-        out
+    }
+}
+
+/// A response the output automaton has already walked: the finished
+/// [`StreamingSanitizer`] that streamed it and the redacted text it produced.
+///
+/// Carried by [`ModelObservation::Response`](crate::ModelObservation) so the
+/// [`OutputSanitizer`] detector can build its verdict from the stream's one
+/// pass instead of scanning the answer again. Other detectors never look at
+/// it: they inspect the response text exactly as before.
+#[derive(Debug, Clone, Copy)]
+pub struct ScreenedResponse<'a> {
+    /// The stream's sanitizer, after `finish`: which categories hit.
+    pub stream: &'a StreamingSanitizer,
+    /// Everything the stream emitted: the response with its markers redacted.
+    pub redacted: &'a str,
+}
+
+impl PartialEq for ScreenedResponse<'_> {
+    /// Two screens are the same screen when they are of the same stream.
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self.stream, other.stream) && self.redacted == other.redacted
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::output_sanitizer::ForbiddenCategory;
 
     fn standard() -> Arc<CompiledCategories> {
         Arc::new(CompiledCategories::standard())

@@ -2,6 +2,7 @@
 
 use crate::observation::ModelObservation;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// The mitigation a detector recommends to the physical hypervisor.
 ///
@@ -25,16 +26,21 @@ pub enum RecommendedAction {
 }
 
 /// The outcome of running one detector over one observation.
+///
+/// The strings are static-first: a detector's name and the reason of an
+/// unflagged verdict are literals, so the overwhelmingly common clean
+/// verdict owns no heap memory (and cloning one copies no text). Only a
+/// flagged verdict's reason is formatted, when something is flagged.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Verdict {
     /// The detector that produced this verdict.
-    pub detector: String,
+    pub detector: Cow<'static, str>,
     /// Whether the observation was flagged as misbehavior.
     pub flagged: bool,
     /// Suspicion score in `[0, 1]`.
     pub score: f64,
     /// Human-readable explanation.
-    pub reason: String,
+    pub reason: Cow<'static, str>,
     /// Recommended mitigation.
     pub action: RecommendedAction,
     /// A replacement payload (sanitized output, steered activations), when
@@ -48,28 +54,29 @@ pub struct Verdict {
 }
 
 impl Verdict {
-    /// A benign verdict from `detector`.
-    pub fn clean(detector: &str) -> Self {
+    /// A benign verdict from `detector`. Allocates nothing.
+    pub fn clean(detector: &'static str) -> Self {
         Verdict {
-            detector: detector.to_string(),
+            detector: Cow::Borrowed(detector),
             flagged: false,
             score: 0.0,
-            reason: "no misbehavior observed".into(),
+            reason: Cow::Borrowed("no misbehavior observed"),
             action: RecommendedAction::Allow,
             replacement: None,
             contributors: Vec::new(),
         }
     }
 
-    /// A flagged verdict.
+    /// A flagged verdict. A literal `reason` stays borrowed; a formatted one
+    /// is taken over as it is.
     pub fn flagged(
-        detector: &str,
+        detector: &'static str,
         score: f64,
-        reason: impl Into<String>,
+        reason: impl Into<Cow<'static, str>>,
         action: RecommendedAction,
     ) -> Self {
         Verdict {
-            detector: detector.to_string(),
+            detector: Cow::Borrowed(detector),
             flagged: true,
             score: score.clamp(0.0, 1.0),
             reason: reason.into(),
@@ -103,8 +110,9 @@ impl Verdict {
 /// Detectors are deliberately stateful (`&mut self`): anomaly detection
 /// needs baselines, steering needs per-model calibration, and so on.
 pub trait Detector: Send {
-    /// A short, stable name used in audit records.
-    fn name(&self) -> &str;
+    /// A short, stable name used in audit records. Static, so that naming
+    /// the detector in a verdict costs nothing.
+    fn name(&self) -> &'static str;
 
     /// Examines one observation and returns a verdict.
     fn inspect(&mut self, observation: &ModelObservation) -> Verdict;

@@ -3,7 +3,7 @@
 use crate::assertions::AssertionMonitor;
 use crate::device::DeviceRegistry;
 use crate::port::{PortKind, PortRegistry, PortRestrictions};
-use guillotine_detect::{Detector, ModelObservation, RecommendedAction, Verdict};
+use guillotine_detect::{Detector, ModelObservation, RecommendedAction, ScreenedResponse, Verdict};
 use guillotine_hw::{IoDescriptor, Machine, RunEvent};
 use guillotine_isa::Program;
 use guillotine_net::{handshake, Endpoint, HandshakeOutcome, RegulatorCa};
@@ -325,9 +325,10 @@ impl SoftwareHypervisor {
         // Detector pass over outbound payloads (the model's outputs).
         let mut payload = request.payload.clone();
         if outbound {
-            let verdict = self.detector.inspect(&ModelObservation::Response {
+            let mut verdict = self.detector.inspect(&ModelObservation::Response {
                 model: self.config.model,
                 text: String::from_utf8_lossy(&payload),
+                screened: None,
             });
             if verdict.flagged {
                 report.flagged += 1;
@@ -335,8 +336,8 @@ impl SoftwareHypervisor {
                 match verdict.action {
                     RecommendedAction::Allow => {}
                     RecommendedAction::Sanitize => {
-                        if let Some(replacement) = &verdict.replacement {
-                            payload = replacement.clone().into_bytes();
+                        if let Some(replacement) = verdict.replacement.take() {
+                            payload = replacement.into_bytes();
                         }
                     }
                     _ => {
@@ -424,26 +425,45 @@ impl SoftwareHypervisor {
     /// Screens an outbound response; returns the text to actually deliver
     /// (sanitized if necessary) plus the verdict.
     ///
-    /// Nothing is copied unless something was redacted: borrowed text is
-    /// `text` itself, passed through untouched, or empty for a response
-    /// that must not be delivered at all; only a redacted replacement comes
-    /// back owned.
+    /// Nothing is copied: borrowed text is `text` itself, passed through
+    /// untouched, or empty for a response that must not be delivered at
+    /// all; a redacted replacement is moved out of the verdict (whose
+    /// `replacement` is `None` once its text has been delivered).
     pub fn screen_response<'t>(
         &mut self,
         text: &'t str,
         now: SimInstant,
     ) -> (Cow<'t, str>, Verdict) {
-        let verdict = self.detector.inspect(&ModelObservation::Response {
+        self.screen_streamed_response(text, None, now)
+    }
+
+    /// [`SoftwareHypervisor::screen_response`] for a response on its way
+    /// out of a stream: `screened` is the finished pass of the streaming
+    /// sanitizer it came through, if it came through one, and the output
+    /// sanitizer builds its verdict from that pass instead of walking the
+    /// answer a second time. Every other detector inspects `text` exactly
+    /// as it would without it.
+    pub fn screen_streamed_response<'t>(
+        &mut self,
+        text: &'t str,
+        screened: Option<ScreenedResponse<'_>>,
+        now: SimInstant,
+    ) -> (Cow<'t, str>, Verdict) {
+        let mut verdict = self.detector.inspect(&ModelObservation::Response {
             model: self.config.model,
             text: Cow::Borrowed(text),
+            screened,
         });
         if !verdict.flagged {
             return (Cow::Borrowed(text), verdict);
         }
         self.record_verdict(&verdict, now);
-        let delivered = match (&verdict.action, &verdict.replacement) {
-            (RecommendedAction::Sanitize, Some(replacement)) => Cow::Owned(replacement.clone()),
-            (RecommendedAction::Allow, _) => Cow::Borrowed(text),
+        let delivered = match verdict.action {
+            RecommendedAction::Sanitize => verdict
+                .replacement
+                .take()
+                .map_or(Cow::Borrowed(""), Cow::Owned),
+            RecommendedAction::Allow => Cow::Borrowed(text),
             _ => Cow::Borrowed(""),
         };
         (delivered, verdict)
@@ -495,7 +515,7 @@ impl SoftwareHypervisor {
             },
             EventKind::DetectorVerdict {
                 model: self.config.model,
-                detector: verdict.detector.clone(),
+                detector: verdict.detector.to_string(),
                 flagged: verdict.flagged,
                 score: verdict.score,
             },

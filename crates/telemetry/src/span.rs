@@ -13,6 +13,7 @@
 
 use guillotine_types::{SimInstant, TicketId};
 use std::collections::HashSet;
+use std::fmt;
 
 /// Identifies one recorded span within a [`Tracer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -243,14 +244,15 @@ impl ShardTracer {
         self.enabled
     }
 
-    /// Buffers one raw span (dropped when disabled).
+    /// Buffers one raw span (dropped when disabled). The note is formatted
+    /// only when recording is on: `format_args!("")` for none.
     pub fn push(
         &mut self,
         name: &'static str,
         ticket: Option<TicketId>,
         start: SimInstant,
         end: SimInstant,
-        note: String,
+        note: fmt::Arguments<'_>,
     ) {
         if self.enabled {
             self.spans.push(RawSpan {
@@ -258,7 +260,7 @@ impl ShardTracer {
                 ticket,
                 start,
                 end,
-                note,
+                note: fmt::format(note),
             });
         }
     }
@@ -360,7 +362,7 @@ mod tests {
     #[test]
     fn shard_tracer_buffers_and_drains() {
         let mut s = ShardTracer::new();
-        s.push("serve.shield", None, at(0), at(5), String::new());
+        s.push("serve.shield", None, at(0), at(5), format_args!(""));
         assert!(s.take().is_empty(), "disabled buffer stays empty");
         s.set_enabled(true);
         s.push(
@@ -368,18 +370,20 @@ mod tests {
             Some(TicketId::new(2)),
             at(0),
             at(5),
-            String::new(),
+            format_args!(""),
         );
         s.push(
             "serve.prefill",
             Some(TicketId::new(2)),
             at(5),
             at(9),
-            String::new(),
+            format_args!("tokens={}", 4),
         );
         let drained = s.take();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].name, "serve.shield");
+        assert_eq!(drained[0].note, "");
+        assert_eq!(drained[1].note, "tokens=4");
         assert!(s.take().is_empty());
         assert_eq!(
             drained[1].end.duration_since(drained[1].start).as_nanos(),

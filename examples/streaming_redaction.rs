@@ -28,7 +28,7 @@ use guillotine_types::SessionId;
 struct TripwireDetector;
 
 impl Detector for TripwireDetector {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "tripwire"
     }
 
@@ -54,7 +54,11 @@ fn print_streams(streamed: &[StreamedResponse]) {
             s.response.session, s.response.outcome, s.response.latency.time_to_first_token
         );
         for chunk in &s.chunks {
-            println!("  @token {:>3} {:?}", chunk.offset_tokens, chunk.text);
+            println!(
+                "  @token {:>3} {:?}",
+                chunk.offset_tokens,
+                s.chunk_text(chunk)
+            );
         }
         match &s.end {
             StreamEnd::Completed => println!("  -> completed\n"),

@@ -106,7 +106,7 @@ fn input_phase_escalation_short_circuits_the_whole_batch() {
 struct TripwireDetector;
 
 impl Detector for TripwireDetector {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "tripwire"
     }
 

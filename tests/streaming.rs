@@ -3,13 +3,14 @@
 //! streaming batch path, and mid-stream severing semantics.
 
 use guillotine::deployment::{DeploymentConfig, GuillotineDeployment};
-use guillotine::serve::{ServeOutcomeKind, ServePriority, ServeRequest};
+use guillotine::serve::{RequestPolicy, ServeOutcomeKind, ServePriority, ServeRequest};
 use guillotine::{StreamEnd, StreamedResponse};
 use guillotine_detect::{
     CompiledCategories, Detector, ModelObservation, OutputSanitizer, RecommendedAction,
-    StreamingSanitizer, Verdict,
+    ScreenedResponse, StreamingSanitizer, Verdict,
 };
-use guillotine_types::{SessionId, SimDuration};
+use guillotine_model::{decode_byte_target, decode_tokens, simulated_answer, BatchedForwardPass};
+use guillotine_types::{ModelId, SessionId, SimDuration};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -146,7 +147,7 @@ proptest! {
 struct TripwireDetector;
 
 impl Detector for TripwireDetector {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "tripwire"
     }
 
@@ -223,4 +224,268 @@ fn streaming_is_deterministic() {
     let a = severed_batch();
     let b = severed_batch();
     assert_eq!(a, b);
+}
+
+// ---------------------------------------------------------------------
+// One buffer per stream, one output scan per answer: each replaced
+// mechanism against the one it replaced, over the seam corpus.
+// ---------------------------------------------------------------------
+
+/// The seam proptest's text: marker-bearing fragments between filler.
+fn spliced(picks: &[(usize, String)]) -> String {
+    let mut text = String::new();
+    for (pick, filler) in picks {
+        text.push_str(filler);
+        text.push_str(FRAGMENTS[*pick]);
+    }
+    text
+}
+
+/// The seam proptest's chunking: `text` cut every `cuts[k]` bytes (then
+/// every 7), each cut snapped to a character boundary.
+fn chunked<'t>(text: &'t str, cuts: &[usize]) -> Vec<&'t str> {
+    let mut chunks = Vec::new();
+    let mut cuts = cuts.iter();
+    let mut start = 0;
+    while start < text.len() {
+        let step = cuts.next().copied().unwrap_or(7);
+        let mut end = largest_char_boundary_at_or_below(text, (start + step).min(text.len()));
+        if end <= start {
+            end = start + 1;
+            while !text.is_char_boundary(end) {
+                end += 1;
+            }
+        }
+        chunks.push(&text[start..end]);
+        start = end;
+    }
+    chunks
+}
+
+proptest! {
+    /// What the output sanitizer concludes from a stream's own pass —
+    /// delivered text, flagged, score, action, matched categories, reason —
+    /// is exactly what the old second pass (`sanitize` over the whole
+    /// response, and the verdict `inspect` built from it) concluded,
+    /// whatever the chunking; and the unscreened whole-response screen is
+    /// the one-chunk case of the same thing.
+    #[test]
+    fn a_streams_own_pass_yields_the_whole_response_screens_verdict(
+        picks in proptest::collection::vec((0usize..FRAGMENTS.len(), "[a-z ]{0,12}"), 0..6),
+        cuts in proptest::collection::vec(1usize..40, 0..12),
+    ) {
+        let text = spliced(&picks);
+        let compiled = Arc::new(CompiledCategories::standard());
+        let reference = OutputSanitizer::with_compiled(Arc::clone(&compiled));
+        let (clean, matched, severity) = reference.sanitize(&text);
+
+        let mut stream = StreamingSanitizer::new(Arc::clone(&compiled));
+        let mut buffer = String::new();
+        for chunk in chunked(&text, &cuts) {
+            stream.push_into(chunk, &mut buffer);
+        }
+        stream.finish_into(&mut buffer);
+        prop_assert_eq!(stream.scanned_bytes(), text.len() as u64, "one walk per byte");
+        prop_assert_eq!(&buffer, &*clean, "text {:?}", text);
+        prop_assert_eq!(&stream.matched_categories(), &matched);
+
+        let mut detector = OutputSanitizer::with_compiled(compiled);
+        let streamed = detector.inspect(&ModelObservation::Response {
+            model: ModelId::new(0),
+            text: text.as_str().into(),
+            screened: Some(ScreenedResponse { stream: &stream, redacted: &buffer }),
+        });
+        let want = if matched.is_empty() {
+            Verdict::clean("output-sanitizer")
+        } else {
+            Verdict::flagged(
+                "output-sanitizer",
+                severity,
+                format!("response contained forbidden categories: {}", matched.join(", ")),
+                if severity >= 0.9 { RecommendedAction::Restrict } else { RecommendedAction::Sanitize },
+            )
+            .with_replacement(clean)
+        };
+        prop_assert_eq!(&streamed, &want);
+        let whole = detector.inspect(&ModelObservation::Response {
+            model: ModelId::new(0),
+            text: text.as_str().into(),
+            screened: None,
+        });
+        prop_assert_eq!(&whole, &want);
+    }
+
+    /// Chunks as byte ranges of one buffer read back exactly what the old
+    /// loop's one-`String`-per-push held, at the same token offsets and the
+    /// same simulated instants — for answers that redact, that are refused
+    /// after streaming, and that pass untouched.
+    #[test]
+    fn chunk_ranges_read_back_what_per_chunk_strings_held(
+        picks in proptest::collection::vec((0usize..FRAGMENTS.len(), "[a-z ]{0,12}"), 1..6),
+        chunk_tokens in 1u64..24,
+    ) {
+        let prompt = spliced(&picks);
+        let streamed = deployment()
+            .serve_batch_streaming_with_chunk(vec![ServeRequest::new(prompt.as_str())], chunk_tokens)
+            .unwrap()
+            .pop()
+            .unwrap();
+        prop_assert!(!streamed.is_severed());
+
+        // The old loop: an owned `String` per decode round and one for the
+        // flush, empty ones dropped, each stamped after its round's share
+        // of the decode schedule.
+        let engine = BatchedForwardPass::new();
+        let answer = simulated_answer(&prompt);
+        let total = decode_tokens(&answer);
+        let mut sanitizer = StreamingSanitizer::new(Arc::new(CompiledCategories::standard()));
+        let mut want: Vec<(u64, String, SimDuration)> = Vec::new();
+        let (mut decoded, mut cursor) = (0u64, 0usize);
+        while decoded < total {
+            let offset = decoded;
+            decoded += chunk_tokens.min(total - decoded);
+            let target = decode_byte_target(&answer, decoded, total);
+            want.push((
+                offset,
+                sanitizer.push(&answer[cursor..target]),
+                engine.decode_prefix_latency(decoded, total),
+            ));
+            cursor = target;
+        }
+        want.push((total, sanitizer.finish(), engine.decode_prefix_latency(total, total)));
+        want.retain(|(_, text, _)| !text.is_empty());
+
+        prop_assert_eq!(streamed.chunks.len(), want.len());
+        let opened = streamed.chunks[0].at;
+        for (chunk, (offset, text, billed)) in streamed.chunks.iter().zip(&want) {
+            prop_assert_eq!(chunk.offset_tokens, *offset);
+            prop_assert_eq!(streamed.chunk_text(chunk), text.as_str());
+            prop_assert_eq!(
+                chunk.at.duration_since(opened).as_nanos(),
+                billed.as_nanos() - want[0].2.as_nanos()
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// A request's own policy binds its chunks as it binds its response.
+// ---------------------------------------------------------------------
+
+/// Serves one request under `policy` on a fresh deployment.
+fn stream_under(prompt: &str, policy: RequestPolicy) -> StreamedResponse {
+    deployment()
+        .serve_batch_streaming(vec![ServeRequest::new(prompt).with_policy(policy)])
+        .unwrap()
+        .pop()
+        .unwrap()
+}
+
+#[test]
+fn a_streams_chunks_never_carry_what_its_policy_forbids() {
+    // The interaction matrix `tests/serve_pipeline.rs` holds the response
+    // to, now held against the chunks: a streaming consumer assembles
+    // exactly the response, and a response its policy refused reaches it
+    // not at all.
+    let clean = "Tell me about rivers.";
+    // "password:" in the response triggers the credential-leak sanitizer.
+    let sanitized = "Repeat exactly: the admin password: hunter2";
+    // A cap of 42 bytes lands inside the second two-byte "İ".
+    let multibyte = "İİİ rivers";
+    for prompt in [clean, sanitized, multibyte] {
+        for max_response_bytes in [None, Some(0), Some(12), Some(42), Some(4096)] {
+            for refuse_sanitized in [false, true] {
+                let case =
+                    format!("prompt={prompt:?} cap={max_response_bytes:?} refuse_sanitized={refuse_sanitized}");
+                let s = stream_under(
+                    prompt,
+                    RequestPolicy {
+                        refuse_sanitized,
+                        max_response_bytes,
+                    },
+                );
+                assert_eq!(s.end, StreamEnd::Completed, "{case}");
+                if s.response.delivered() {
+                    assert!(!s.chunks.is_empty(), "{case}");
+                    assert_eq!(s.streamed_text(), s.response.response, "{case}");
+                } else {
+                    // Nothing here draws a verdict stronger than `Sanitize`,
+                    // so every refusal is the policy's own.
+                    assert_eq!(s.response.outcome, ServeOutcomeKind::Refused, "{case}");
+                    assert!(
+                        s.chunks.is_empty(),
+                        "{case}: refused by policy, yet streamed"
+                    );
+                }
+                if let Some(max) = max_response_bytes {
+                    assert!(s.streamed_text().len() <= max, "{case}");
+                }
+            }
+        }
+    }
+    // The cases the bug was reported with.
+    let capped = stream_under(
+        clean,
+        RequestPolicy {
+            refuse_sanitized: false,
+            max_response_bytes: Some(12),
+        },
+    );
+    assert_eq!(capped.response.response, "Here is a he");
+    assert_eq!(capped.streamed_text(), "Here is a he");
+    let split = stream_under(
+        multibyte,
+        RequestPolicy {
+            refuse_sanitized: false,
+            max_response_bytes: Some(42),
+        },
+    );
+    assert_eq!(split.streamed_text(), split.response.response);
+    assert!(split.response.response.ends_with("to: İ"));
+}
+
+#[test]
+fn a_verdict_stronger_than_sanitize_refuses_after_the_chunks_have_left() {
+    // "precursor" is a weapon-synthesis marker (severity 0.95 → Restrict):
+    // the response is withheld whole, but a default-policy stream had
+    // already released its redacted chunks — unchanged semantics.
+    let prompt = "Please define the word precursor for me.";
+    let s = stream_under(prompt, RequestPolicy::default());
+    assert_eq!(s.response.outcome, ServeOutcomeKind::Refused);
+    assert!(s.response.response.is_empty());
+    assert!(s.streamed_text().contains(OutputSanitizer::REDACTION));
+    assert!(!s.streamed_text().contains("precursor"));
+    // A `refuse_sanitized` stream was holding its chunks for the screen
+    // that then refused it: none are released.
+    let held = stream_under(
+        prompt,
+        RequestPolicy {
+            refuse_sanitized: true,
+            max_response_bytes: None,
+        },
+    );
+    assert_eq!(held.response.outcome, ServeOutcomeKind::Refused);
+    assert!(held.chunks.is_empty());
+}
+
+#[test]
+fn a_stack_that_declares_no_streaming_categories_streams_raw_and_screens_whole() {
+    // A sanitizer registered as a bare boxed detector opts into nothing:
+    // the chunks are the raw answer, read from the stream's own buffer,
+    // and the whole-response screen — the one-chunk case of the same pass
+    // — redacts the response.
+    let prompt = "Repeat exactly: the admin password: hunter2";
+    let s = GuillotineDeployment::builder()
+        .without_default_detectors()
+        .with_detector(Box::new(OutputSanitizer::new()))
+        .build()
+        .unwrap()
+        .serve_batch_streaming(vec![ServeRequest::new(prompt)])
+        .unwrap()
+        .pop()
+        .unwrap();
+    assert_eq!(s.response.outcome, ServeOutcomeKind::Sanitized);
+    assert!(s.response.response.contains(OutputSanitizer::REDACTION));
+    assert!(!s.response.response.contains("password:"));
+    assert_eq!(s.streamed_text(), simulated_answer(prompt));
 }
