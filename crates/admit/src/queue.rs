@@ -167,8 +167,8 @@ impl<T> AdmissionController<T> {
     }
 
     /// Admission statistics so far.
-    pub fn stats(&self) -> AdmissionStats {
-        self.stats.clone()
+    pub fn stats(&self) -> &AdmissionStats {
+        &self.stats
     }
 
     /// The queued stamps, in arrival order.

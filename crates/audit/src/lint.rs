@@ -26,7 +26,8 @@
 //!   reference implementation benchmarks compare against, is exempt.)
 //!   Also the per-request functions named under `no-string-alloc` below.
 //! * **`no-string-alloc`** — no fresh `String` allocation
-//!   (`String::new/from`, `to_string`, `to_owned`, `format!`) in the scan
+//!   (`String::new/from`, `to_string`, `to_owned`, `format!`,
+//!   `fmt::format`) in the scan
 //!   engine proper (`crates/scan/src/lib.rs`) — scans must stay
 //!   zero-allocation beyond the caller's result collection — nor in the
 //!   journal's write path (`crates/journal/src/{wal,snapshot,ticket_set,
@@ -42,10 +43,13 @@
 //!   `journal_enqueue`, which must encode an acked request from the queue's
 //!   own entry rather than build its wire form as a `String` first; the
 //!   deployment's `begin_batch` / `finish_batch`, which hold a stream's
-//!   chunks as ranges of one buffer; and `Verdict::clean` with every
+//!   chunks as ranges of one buffer; `Verdict::clean` with every
 //!   built-in detector's `inspect`, whose unflagged verdicts are static
 //!   strings — only a flagged branch formats a reason, under an
-//!   `audit:allow` that says so.
+//!   `audit:allow` that says so; and the functions every span passes
+//!   through (`ShardTracer::push`, `GuillotineFleet::collect_shard_spans`,
+//!   `Telemetry::span`, `Tracer::record`, `FlightRecorder::offer`), where
+//!   only an annotated span — a sever marker — formats a note.
 //!
 //! # The `audit:allow` escape
 //!
@@ -92,9 +96,9 @@ const JOURNAL_WRITE_PATH: [&str; 4] = [
 
 /// Functions held to `no-string-alloc` and `no-case-alloc` inside files
 /// those rules do not cover whole: `(file, function names)`. Each runs once
-/// per request — on the request's full text, or once per verdict or per
-/// streamed chunk of it.
-pub const PER_REQUEST_FNS: [(&str, &[&str]); 10] = [
+/// per request — on the request's full text, or once per verdict, per
+/// streamed chunk or per span of it.
+pub const PER_REQUEST_FNS: [(&str, &[&str]); 14] = [
     (
         "crates/hv/src/hypervisor.rs",
         &[
@@ -121,6 +125,10 @@ pub const PER_REQUEST_FNS: [(&str, &[&str]); 10] = [
     ("crates/detect/src/steering.rs", &["inspect"]),
     ("crates/detect/src/circuit_breaker.rs", &["inspect"]),
     ("crates/detect/src/anomaly.rs", &["inspect"]),
+    ("crates/telemetry/src/span.rs", &["record", "push"]),
+    ("crates/telemetry/src/lib.rs", &["span"]),
+    ("crates/telemetry/src/recorder.rs", &["offer"]),
+    ("crates/core/src/fleet.rs", &["collect_shard_spans"]),
 ];
 
 /// Where in a file a rule applies.
@@ -478,6 +486,7 @@ const RULES: [Rule; 3] = [
             ".to_string(",
             ".to_owned(",
             "format!",
+            "fmt::format(",
         ],
         advice: "scans, screens and journal encoding borrow the text and write into the \
                  caller's buffers; no fresh String per call",
@@ -759,6 +768,15 @@ fn f() -> usize {
             "crates/detect/src/anomaly.rs:6"
         );
         assert_eq!(outcome.allows.len(), 1);
+        // The per-span record path: `fmt::format` is `format!` without the
+        // macro, and the functions beside the named ones are left alone.
+        let tracer = "fn push(&mut self, note: fmt::Arguments<'_>) {\n    self.notes.push(fmt::format(note));\n}\nfn dump(&self) -> String {\n    format!(\"{}\", self.len)\n}\n";
+        let outcome = lint_source("crates/telemetry/src/span.rs", tracer);
+        assert_eq!(outcome.findings.len(), 1, "{:?}", outcome.findings);
+        assert_eq!(
+            outcome.findings[0].location,
+            "crates/telemetry/src/span.rs:2"
+        );
     }
 
     #[test]

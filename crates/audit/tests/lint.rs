@@ -44,9 +44,9 @@ fn working_tree_is_lint_clean() {
 }
 
 /// The alloc rules reach into `hv`'s screens, the deployment's batch halves,
-/// the built-in detectors' `inspect`s and the front door's admission path by
-/// function name; a rename there would silently drop the function from the
-/// lint, so every name must still be found.
+/// the built-in detectors' `inspect`s, the front door's admission path and
+/// the per-span record path by function name; a rename there would silently
+/// drop the function from the lint, so every name must still be found.
 #[test]
 fn per_request_functions_exist_where_the_lint_looks() {
     for (file, names) in PER_REQUEST_FNS {
@@ -68,9 +68,12 @@ fn per_request_functions_exist_where_the_lint_looks() {
 /// once something has been flagged — the clean branch of every one of them,
 /// `Verdict::clean`, the hypervisor's screens, the deployment's
 /// `begin_batch`/`finish_batch` and the front door's `submit_at` are under
-/// `no-string-alloc` needing no escape. If this list grows, the new entry
-/// was either justified in review or someone is bypassing the gate — either
-/// way it should show up in a test diff.
+/// `no-string-alloc` needing no escape — and `ShardTracer::push`, which
+/// formats the note of an annotated span (a sever marker) and nothing for
+/// any other; `Tracer::record`, `Telemetry::span`, `FlightRecorder::offer`
+/// and the fleet's `collect_shard_spans` need no escape. If this list
+/// grows, the new entry was either justified in review or someone is
+/// bypassing the gate — either way it should show up in a test diff.
 #[test]
 fn suppression_inventory_is_exactly_the_reviewed_set() {
     let outcome = lint_repo(repo_root()).expect("source tree walk");
@@ -97,6 +100,7 @@ fn suppression_inventory_is_exactly_the_reviewed_set() {
             ("crates/detect/src/steering.rs", "no-string-alloc"),
             ("crates/detect/src/steering.rs", "no-string-alloc"),
             ("crates/journal/src/store.rs", "no-string-alloc"),
+            ("crates/telemetry/src/span.rs", "no-string-alloc"),
         ],
     );
 }

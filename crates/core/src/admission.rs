@@ -383,7 +383,7 @@ impl FrontDoor {
 
     /// Admission statistics so far.
     pub fn admission_stats(&self) -> AdmissionStats {
-        self.controller.stats()
+        self.controller.stats().clone()
     }
 
     /// The current simulated time at the door (the fleet clock).
@@ -562,7 +562,7 @@ impl FrontDoor {
         trace: Vec<TimedArrival>,
     ) -> Result<(Vec<AdmissionDecision>, Vec<ServeResponse>)> {
         let mut decisions = Vec::with_capacity(trace.len());
-        let mut responses = Vec::new();
+        let mut responses = Vec::with_capacity(trace.len());
         let mut pending = trace.into_iter().peekable();
         while let Some(arrival) = pending.next() {
             decisions.push(self.submit_at(arrival.request, arrival.deadline, arrival.at));
@@ -969,7 +969,6 @@ impl FrontDoor {
         let kv_invalidated: Vec<bool> = (0..shard_count)
             .map(|index| self.fleet.kv_invalidated(index))
             .collect();
-        let stats = self.controller.stats();
         journal.store.take_snapshot(SnapshotView {
             at: now,
             wal_offset: journal.store.wal_len(),
@@ -983,7 +982,7 @@ impl FrontDoor {
             progress: &progress,
             quarantined: &quarantined,
             kv_invalidated: &kv_invalidated,
-            stats: &stats,
+            stats: self.controller.stats(),
         });
         journal.last_snapshot = now;
     }
@@ -1249,7 +1248,7 @@ impl FrontDoor {
     /// Fleet statistics with the admission tier filled in.
     pub fn stats(&self) -> FleetStats {
         let mut stats = self.fleet.stats();
-        stats.admission = Some(self.controller.stats());
+        stats.admission = Some(self.controller.stats().clone());
         if self.recovery.is_some() {
             // Charge the still-open residence in the current mode, so
             // per-mode durations always sum to elapsed time.

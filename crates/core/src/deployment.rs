@@ -388,9 +388,10 @@ impl GuillotineDeployment {
         self.tracer.set_enabled(enabled);
     }
 
-    /// Drains the raw spans buffered since the last drain.
-    pub fn take_spans(&mut self) -> Vec<RawSpan> {
-        self.tracer.take()
+    /// Drains the raw spans buffered since the last drain, on this
+    /// deployment's own clock; the buffer keeps its capacity.
+    pub fn drain_spans(&mut self) -> std::vec::Drain<'_, RawSpan> {
+        self.tracer.drain()
     }
 
     /// The names of the installed detectors, in registration order.

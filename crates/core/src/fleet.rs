@@ -861,8 +861,14 @@ impl GuillotineFleet {
     /// `fleet.batch` root (one `fleet.subbatch` child per participating
     /// shard), observes per-stage latency histograms into the shard's
     /// registry, and fires severed-stream incidents for any `stream.sever`
-    /// markers the shards emitted.
-    fn collect_batch_telemetry(&mut self, participants: &[usize], started: SimInstant) {
+    /// markers the shards emitted. `started` is the fleet clock at batch
+    /// start and `shard_started` every shard's own clock at that moment.
+    fn collect_batch_telemetry(
+        &mut self,
+        participants: &[usize],
+        started: SimInstant,
+        shard_started: &[SimInstant],
+    ) {
         if !self.telemetry.is_enabled() {
             return;
         }
@@ -875,35 +881,47 @@ impl GuillotineFleet {
         });
         self.telemetry.metrics_mut().incr("fleet.batches");
         for &shard_idx in participants {
-            self.collect_shard_spans(shard_idx, batch);
+            self.collect_shard_spans(shard_idx, batch, started, shard_started[shard_idx]);
         }
     }
 
-    /// Drains one shard's raw spans under a `fleet.subbatch` span.
-    fn collect_shard_spans(&mut self, shard_idx: usize, parent: Option<SpanId>) {
-        let raw = self.shards[shard_idx].deployment.take_spans();
-        if raw.is_empty() {
+    /// Drains one shard's raw spans straight into the tracer, under a
+    /// `fleet.subbatch` span. A shard stamps its spans on its own clock,
+    /// which counts only its serving time; each instant is rebased here, by
+    /// offset alone, onto the fleet clock the rest of the ticket's tree is
+    /// on: `started + (instant - shard_started)`. A slowed shard's stage
+    /// spans therefore sit at the front of its stretched window.
+    fn collect_shard_spans(
+        &mut self,
+        shard_idx: usize,
+        parent: Option<SpanId>,
+        started: SimInstant,
+        shard_started: SimInstant,
+    ) {
+        let rebase = |at: SimInstant| started.saturating_add(at.duration_since(shard_started));
+        let raw = self.shards[shard_idx].deployment.drain_spans();
+        let Some(first) = raw.as_slice().first() else {
             return;
-        }
-        let mut start = raw[0].start;
-        let mut end = raw[0].end;
-        for s in &raw {
-            start = start.min(s.start);
-            end = end.max(s.end);
-        }
+        };
+        let (start, end) = raw
+            .as_slice()
+            .iter()
+            .fold((first.start, first.end), |(start, end), s| {
+                (start.min(s.start), end.max(s.end))
+            });
         let sub = self.telemetry.span(NewSpan {
             name: "fleet.subbatch",
             shard: Some(shard_idx),
             parent,
-            start,
-            end,
+            start: rebase(start),
+            end: rebase(end),
             ..NewSpan::default()
         });
         for s in raw {
             let elapsed = s.end.duration_since(s.start).as_nanos();
-            let severed = s.name == "stream.sever";
+            let end = rebase(s.end);
             // Severs are rare tail events; only they pay for a note copy.
-            let incident_note = severed.then(|| s.note.clone());
+            let incident_note = (s.name == "stream.sever").then(|| s.note.clone());
             self.telemetry
                 .shard_metrics_mut(shard_idx)
                 .observe(s.name, elapsed);
@@ -912,8 +930,8 @@ impl GuillotineFleet {
                 ticket: s.ticket,
                 shard: Some(shard_idx),
                 parent: sub,
-                start: s.start,
-                end: s.end,
+                start: rebase(s.start),
+                end,
                 note: s.note,
                 ..NewSpan::default()
             });
@@ -924,7 +942,7 @@ impl GuillotineFleet {
                     // door's escalation incident carries it.
                     self.telemetry.recorder_mut().incident(
                         IncidentKind::SeveredStream,
-                        s.end,
+                        end,
                         s.ticket,
                         Some(shard_idx),
                         0,
@@ -1577,7 +1595,7 @@ impl GuillotineFleet {
             }
         }
         self.finalize_batch(&participants, &before);
-        self.collect_batch_telemetry(&participants, fleet_before);
+        self.collect_batch_telemetry(&participants, fleet_before, &before);
         attempt.failed.sort_unstable();
         attempt
     }

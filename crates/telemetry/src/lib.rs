@@ -21,7 +21,7 @@ mod span;
 
 pub use recorder::{FaultCorrelation, FaultNote, FlightRecorder, Incident, IncidentKind};
 pub use registry::{MetricsRegistry, METRICS_SCHEMA};
-pub use span::{NewSpan, RawSpan, ShardTracer, Span, SpanId, Tracer};
+pub use span::{NewSpan, RawSpan, ShardTracer, Span, SpanId, Spans, Tracer};
 
 /// Knobs for one telemetry instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,7 +57,7 @@ impl TelemetryConfig {
 }
 
 /// The facade the fleet owns: tracer + registries + flight recorder.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Telemetry {
     config: TelemetryConfig,
     tracer: Tracer,
@@ -104,7 +104,7 @@ impl Telemetry {
     pub fn span(&mut self, new: NewSpan) -> Option<SpanId> {
         let id = self.tracer.record(new)?;
         // The id we just recorded is the tracer's newest span; the
-        // recorder clones it only if sampling admits it to the ring.
+        // recorder copies it only if sampling admits it to the ring.
         if let Some(span) = self.tracer.spans().last() {
             self.recorder.offer(span);
         }

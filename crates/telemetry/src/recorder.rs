@@ -62,7 +62,8 @@ pub struct Incident {
     pub fault_id: Option<usize>,
     /// Freeform trigger detail.
     pub detail: String,
-    /// The last-N spans the ring held when the incident fired.
+    /// The last-N spans the ring held when the incident fired, copied as
+    /// recorded (a span's note stays with the tracer, under its id).
     pub spans: Vec<Span>,
 }
 
@@ -139,7 +140,7 @@ impl FlightRecorder {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
         }
-        self.ring.push_back(span.clone());
+        self.ring.push_back(*span);
     }
 
     /// Notes an injected fault and returns its id (its index in the chaos
@@ -182,7 +183,7 @@ impl FlightRecorder {
             wal_offset,
             fault_id: self.faults.last().map(|f| f.fault_id),
             detail,
-            spans: self.ring.iter().cloned().collect(),
+            spans: self.ring.iter().copied().collect(),
         });
     }
 
@@ -315,17 +316,17 @@ mod tests {
     use super::*;
     use crate::span::SpanId;
 
-    fn span(id: u64, ticket: Option<u32>) -> Span {
+    fn span(id: u32, ticket: Option<u32>) -> Span {
         Span {
-            id: SpanId(id),
+            id: SpanId::new(id).expect("a small id"),
             parent: None,
             follows: None,
             ticket: ticket.map(TicketId::new),
             shard: None,
             name: "serve.dispatch",
-            start: SimInstant::from_nanos(id * 10),
-            end: SimInstant::from_nanos(id * 10 + 5),
-            note: String::new(),
+            start: SimInstant::from_nanos(u64::from(id) * 10),
+            end: SimInstant::from_nanos(u64::from(id) * 10 + 5),
+            earlier: None,
         }
     }
 
@@ -333,7 +334,7 @@ mod tests {
     fn ring_is_bounded_and_incident_snapshots_it() {
         let mut r = FlightRecorder::new(3);
         for i in 0..10 {
-            r.offer(&span(i, Some(i as u32)));
+            r.offer(&span(i, Some(i)));
         }
         assert_eq!(r.ring_len(), 3);
         r.incident(
@@ -346,7 +347,7 @@ mod tests {
         );
         let dump = &r.incidents()[0];
         assert_eq!(dump.spans.len(), 3);
-        assert_eq!(dump.spans[0].id, SpanId(7), "oldest surviving span");
+        assert_eq!(dump.spans[0].id.raw(), 7, "oldest surviving span");
         assert_eq!(dump.wal_offset, 42);
         assert_eq!(dump.fault_id, None);
     }
@@ -356,7 +357,7 @@ mod tests {
         let mut r = FlightRecorder::new(100);
         r.set_head_sampling(4);
         for i in 0..16 {
-            r.offer(&span(i, Some(i as u32)));
+            r.offer(&span(i, Some(i)));
         }
         r.offer(&span(99, None));
         assert_eq!(r.ring_len(), 4 + 1, "tickets 0,4,8,12 plus the fleet span");

@@ -10,24 +10,81 @@
 //! Spans are recorded whole (start and end both known at emission): the
 //! simulation always knows a stage's duration by the time the stage
 //! returns, so there is no open/close lifecycle to leak or mismatch.
+//!
+//! # How spans are held
+//!
+//! Every interposition leaves a span and tracing is meant to stay fully
+//! on, so a span is written once and its history costs nothing afterwards:
+//!
+//! - A stored [`Span`] is 64 bytes (asserted at compile time): `u32` ids,
+//!   a narrow shard index, and the freeform note — empty on everything but
+//!   recovery, sever and crash spans — held out of line behind
+//!   [`Tracer::note`].
+//! - The [`Tracer`] appends into fixed-size segments. Growth allocates one
+//!   more segment; nothing recorded earlier is ever re-reserved or moved.
+//!   [`Tracer::spans`] lends a view over the segments in recording order.
+//! - Each span links to the previous span of its ticket and the tracer
+//!   keeps every ticket's newest span, so [`Tracer::spans_for`] and
+//!   [`Tracer::has_complete_tree`] walk the ticket's own chain — O(own
+//!   spans), whatever else the store holds.
+//!
+//! # One timebase per tree
+//!
+//! A deployment serves on its own clock, which counts only that shard's
+//! serving time, so the [`RawSpan`]s a [`ShardTracer`] buffers carry
+//! shard-clock instants. The fleet rebases them onto its own clock when it
+//! drains the buffer — `fleet clock at batch start + (instant − shard clock
+//! at batch start)`, an offset that leaves every duration untouched — so
+//! every [`Span`] in a [`Tracer`] is on the fleet clock and a stage span
+//! lies inside the `fleet.subbatch` and `fleet.batch` that caused it.
 
 use guillotine_types::{SimInstant, TicketId};
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 use std::fmt;
+use std::num::NonZeroU32;
 
-/// Identifies one recorded span within a [`Tracer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SpanId(pub u64);
+/// Spans per storage segment (256 KiB of 64-byte spans): large enough that
+/// segment allocations are rare, small enough that the unused tail of the
+/// newest segment is noise next to a fleet's other buffers.
+const SEGMENT_SPANS: usize = 4096;
+
+/// Tickets per page of the newest-span index (4 KiB pages).
+const TICKETS_PER_PAGE: usize = 1024;
+
+/// One run of spans, allocated whole at its full capacity and never regrown.
+type Segment = Vec<Span>;
+
+/// Identifies one recorded span within a [`Tracer`]: a `u32`, assigned
+/// densely from zero in recording order. (Held as `raw + 1` so an absent
+/// link costs no extra bytes in a [`Span`].)
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SpanId(NonZeroU32);
 
 impl SpanId {
+    /// The id whose raw value is `raw`; `None` for `u32::MAX`, which no
+    /// tracer ever assigns (recording stops there instead of wrapping).
+    pub const fn new(raw: u32) -> Option<SpanId> {
+        match NonZeroU32::new(raw.wrapping_add(1)) {
+            Some(held) => Some(SpanId(held)),
+            None => None,
+        }
+    }
+
     /// The raw id.
-    pub const fn raw(self) -> u64 {
-        self.0
+    pub const fn raw(self) -> u32 {
+        self.0.get() - 1
     }
 }
 
-/// One completed interval of simulated time, with its causal links.
-#[derive(Debug, Clone, PartialEq, Eq)]
+impl fmt::Debug for SpanId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "SpanId({})", self.raw())
+    }
+}
+
+/// One completed interval of simulated time, with its causal links. Its
+/// freeform note, if it has one, is read through [`Tracer::note`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Unique id within the owning tracer.
     pub id: SpanId,
@@ -39,18 +96,20 @@ pub struct Span {
     /// The admission ticket this span serves, when known.
     pub ticket: Option<TicketId>,
     /// The shard the work ran on, when the stage is shard-local.
-    pub shard: Option<usize>,
+    pub shard: Option<u16>,
     /// Hierarchical stage name, e.g. `serve.shield` or `recovery.hedge`.
-    /// Static because every stage name in the system is a literal; this
-    /// keeps the record path allocation-free for unannotated spans.
+    /// Static because every stage name in the system is a literal.
     pub name: &'static str,
     /// When the interval began, on the fleet clock.
     pub start: SimInstant,
-    /// When the interval ended.
+    /// When the interval ended, on the fleet clock.
     pub end: SimInstant,
-    /// Freeform detail: outcome, fault id, shed victim, etc.
-    pub note: String,
+    /// The previous span recorded for the same ticket: the per-ticket chain
+    /// the tracer's ticket queries walk.
+    pub(crate) earlier: Option<SpanId>,
 }
+
+const _: () = assert!(std::mem::size_of::<Span>() <= 64);
 
 impl Span {
     /// The span's duration.
@@ -78,31 +137,87 @@ pub struct NewSpan {
     pub start: SimInstant,
     /// Interval end.
     pub end: SimInstant,
-    /// Freeform detail.
+    /// Freeform detail: outcome, fault id, shed victim, etc.
     pub note: String,
 }
 
+/// Each ticket's newest span: a page table over raw ticket ids, which the
+/// admission queue mints densely, so a page is allocated once per
+/// [`TICKETS_PER_PAGE`] tickets and never moved.
+#[derive(Debug, Default)]
+struct TicketIndex {
+    pages: BTreeMap<u32, Box<[Option<SpanId>; TICKETS_PER_PAGE]>>,
+}
+
+impl TicketIndex {
+    fn locate(ticket: TicketId) -> (u32, usize) {
+        let per_page = TICKETS_PER_PAGE as u32;
+        (ticket.raw() / per_page, (ticket.raw() % per_page) as usize)
+    }
+
+    fn newest(&self, ticket: TicketId) -> Option<SpanId> {
+        let (page, slot) = Self::locate(ticket);
+        self.pages.get(&page)?[slot]
+    }
+
+    /// Makes `id` the ticket's newest span and returns the one it replaces.
+    fn replace(&mut self, ticket: TicketId, id: SpanId) -> Option<SpanId> {
+        let (page, slot) = Self::locate(ticket);
+        self.pages
+            .entry(page)
+            .or_insert_with(|| Box::new([None; TICKETS_PER_PAGE]))[slot]
+            .replace(id)
+    }
+}
+
 /// Collects spans for one run, assigning ids and answering causal queries.
-#[derive(Debug, Clone, Default)]
+///
+/// Spans are appended into fixed-size segments — growth allocates one more
+/// segment and never re-reserves or moves what is already recorded — and
+/// each span links to the previous span of its ticket, so a ticket query
+/// walks the ticket's own spans only.
+#[derive(Debug)]
 pub struct Tracer {
     enabled: bool,
-    next_id: u64,
-    spans: Vec<Span>,
+    /// Capacity of every segment: [`SEGMENT_SPANS`] outside tests.
+    segment_len: usize,
+    /// Every segment but the last is full, so span `i` is at
+    /// `segments[i / segment_len][i % segment_len]`.
+    segments: Vec<Segment>,
+    /// Spans recorded, which is also the next raw id.
+    len: u32,
+    /// The non-empty notes, ascending by span id.
+    notes: Vec<(SpanId, String)>,
+    newest: TicketIndex,
+}
+
+impl Default for Tracer {
+    fn default() -> Self {
+        Tracer::disabled()
+    }
 }
 
 impl Tracer {
-    /// A tracer that records nothing; [`Tracer::record`] returns `None`.
-    pub fn disabled() -> Self {
-        Tracer::default()
+    fn new(enabled: bool, segment_len: usize) -> Self {
+        Tracer {
+            enabled,
+            segment_len,
+            segments: Vec::new(),
+            len: 0,
+            notes: Vec::new(),
+            newest: TicketIndex::default(),
+        }
     }
 
-    /// A tracer that records every span offered to it.
+    /// A tracer that records nothing; [`Tracer::record`] returns `None`.
+    pub fn disabled() -> Self {
+        Tracer::new(false, SEGMENT_SPANS)
+    }
+
+    /// A tracer that records every span offered to it. Nothing is
+    /// allocated until the first one arrives.
     pub fn enabled() -> Self {
-        Tracer {
-            enabled: true,
-            next_id: 0,
-            spans: Vec::new(),
-        }
+        Tracer::new(true, SEGMENT_SPANS)
     }
 
     /// Whether recording is on.
@@ -112,61 +227,91 @@ impl Tracer {
 
     /// Records a completed span and returns its id, or `None` when the
     /// tracer is disabled (so callers thread `Option<SpanId>` parents
-    /// without branching on the enabled flag).
+    /// without branching on the enabled flag) — and once the `u32` ids are
+    /// used up, where recording stops rather than wrap.
     pub fn record(&mut self, span: NewSpan) -> Option<SpanId> {
         if !self.enabled {
             return None;
         }
-        let id = SpanId(self.next_id);
-        self.next_id += 1;
-        self.spans.push(Span {
+        let id = SpanId::new(self.len)?;
+        let stored = Span {
             id,
             parent: span.parent,
             follows: span.follows,
             ticket: span.ticket,
-            shard: span.shard,
+            shard: span.shard.and_then(|shard| u16::try_from(shard).ok()),
             name: span.name,
             start: span.start,
             end: span.end,
-            note: span.note,
-        });
+            earlier: span
+                .ticket
+                .and_then(|ticket| self.newest.replace(ticket, id)),
+        };
+        match self.segments.last_mut() {
+            Some(segment) if segment.len() < self.segment_len => segment.push(stored),
+            _ => {
+                let mut segment = Segment::with_capacity(self.segment_len);
+                segment.push(stored);
+                self.segments.push(segment);
+            }
+        }
+        if !span.note.is_empty() {
+            self.notes.push((id, span.note));
+        }
+        self.len += 1;
         Some(id)
     }
 
     /// All recorded spans, in recording order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
+    pub fn spans(&self) -> Spans<'_> {
+        Spans { tracer: self }
     }
 
     /// Number of recorded spans.
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.len as usize
     }
 
     /// Whether no spans have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.len == 0
+    }
+
+    /// The freeform detail recorded with span `id`; empty when it had none
+    /// (or `id` names no span).
+    pub fn note(&self, id: SpanId) -> &str {
+        self.notes
+            .binary_search_by_key(&id, |(noted, _)| *noted)
+            .ok()
+            .and_then(|at| self.notes.get(at))
+            .map_or("", |(_, note)| note)
+    }
+
+    /// A ticket's spans, newest first, by its chain of `earlier` links.
+    fn chain(&self, ticket: TicketId) -> impl Iterator<Item = &Span> {
+        let spans = self.spans();
+        let at = move |link: Option<SpanId>| link.and_then(|id| spans.get(id));
+        std::iter::successors(at(self.newest.newest(ticket)), move |span| at(span.earlier))
     }
 
     /// Spans correlated to one ticket, in recording order.
     pub fn spans_for(&self, ticket: TicketId) -> Vec<&Span> {
-        self.spans
-            .iter()
-            .filter(|s| s.ticket == Some(ticket))
-            .collect()
+        let mut own: Vec<&Span> = self.chain(ticket).collect();
+        own.reverse();
+        own
     }
 
     /// Whether `link`, if set, names a recorded span. Ids are assigned
     /// densely from zero in recording order, so this is a bounds check.
     fn resolves(&self, link: Option<SpanId>) -> bool {
-        link.is_none_or(|id| id.0 < self.next_id)
+        link.is_none_or(|id| id.raw() < self.len)
     }
 
     /// Spans whose parent or follows link names an id that was never
     /// recorded — the broken-causality witness the observability bench
     /// asserts is empty.
     pub fn orphans(&self) -> Vec<&Span> {
-        self.spans
+        self.spans()
             .iter()
             .filter(|s| !self.resolves(s.parent) || !self.resolves(s.follows))
             .collect()
@@ -177,7 +322,7 @@ impl Tracer {
     /// has resolvable parent and follows links.
     pub fn has_complete_tree(&self, ticket: TicketId) -> bool {
         let mut rooted = false;
-        for span in self.spans.iter().filter(|s| s.ticket == Some(ticket)) {
+        for span in self.chain(ticket) {
             if !self.resolves(span.parent) || !self.resolves(span.follows) {
                 return false;
             }
@@ -186,18 +331,52 @@ impl Tracer {
         rooted
     }
 
-    /// Distinct tickets that have at least one span.
+    /// Distinct tickets that have at least one span, in order of first
+    /// appearance: the heads of the per-ticket chains.
     pub fn traced_tickets(&self) -> Vec<TicketId> {
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        for span in &self.spans {
-            if let Some(t) = span.ticket {
-                if seen.insert(t) {
-                    out.push(t);
-                }
-            }
-        }
-        out
+        self.spans()
+            .iter()
+            .filter(|span| span.earlier.is_none())
+            .filter_map(|span| span.ticket)
+            .collect()
+    }
+}
+
+/// A borrowed view of a [`Tracer`]'s spans, in recording order.
+#[derive(Debug, Clone, Copy)]
+pub struct Spans<'a> {
+    tracer: &'a Tracer,
+}
+
+impl<'a> Spans<'a> {
+    /// The spans, oldest first.
+    pub fn iter(self) -> impl Iterator<Item = &'a Span> {
+        self.tracer.segments.iter().flatten()
+    }
+
+    /// Number of spans.
+    pub fn len(self) -> usize {
+        self.tracer.len()
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(self) -> bool {
+        self.tracer.is_empty()
+    }
+
+    /// The most recently recorded span.
+    pub fn last(self) -> Option<&'a Span> {
+        self.tracer.segments.last()?.last()
+    }
+
+    /// The span recorded under `id`.
+    pub fn get(self, id: SpanId) -> Option<&'a Span> {
+        let at = id.raw() as usize;
+        let segment_len = self.tracer.segment_len;
+        self.tracer
+            .segments
+            .get(at / segment_len)?
+            .get(at % segment_len)
     }
 }
 
@@ -205,23 +384,26 @@ impl Tracer {
 ///
 /// A deployment has no handle on the fleet's [`Tracer`] — it is a machine
 /// of its own that the fleet only calls into — so it buffers raw spans
-/// locally and the fleet drains them with [`ShardTracer::take`] after each
-/// batch, assigning ids and parent links at collection time.
+/// locally and the fleet drains them with [`ShardTracer::drain`] after each
+/// batch, assigning ids and parent links and rebasing the instants onto the
+/// fleet clock at collection time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawSpan {
     /// Stage name, e.g. `serve.prefill` or `stream.chunk`.
     pub name: &'static str,
     /// The ticket the stage served, when the request carried one.
     pub ticket: Option<TicketId>,
-    /// Interval start on the shard's clock.
+    /// Interval start on the *shard's* clock, which counts only that
+    /// shard's serving time; the fleet rebases it at collection.
     pub start: SimInstant,
-    /// Interval end.
+    /// Interval end, on the same clock.
     pub end: SimInstant,
     /// Freeform detail.
     pub note: String,
 }
 
-/// Per-shard raw-span buffer; a no-op unless enabled.
+/// Per-shard raw-span buffer; a no-op unless enabled. It grows to the
+/// largest batch it has held and keeps that capacity across drains.
 #[derive(Debug, Clone, Default)]
 pub struct ShardTracer {
     enabled: bool,
@@ -260,16 +442,16 @@ impl ShardTracer {
                 ticket,
                 start,
                 end,
+                // audit:allow(no-string-alloc, annotated spans only: the empty note allocates nothing)
                 note: fmt::format(note),
             });
         }
     }
 
-    /// Drains the buffered spans, leaving the buffer empty — and sized for
-    /// as many again, since one batch's span count predicts the next's.
-    pub fn take(&mut self) -> Vec<RawSpan> {
-        let refill = Vec::with_capacity(self.spans.len());
-        std::mem::replace(&mut self.spans, refill)
+    /// Drains the buffered spans in push order. The buffer is empty once
+    /// the drain is dropped and keeps its capacity for the next batch.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, RawSpan> {
+        self.spans.drain(..)
     }
 }
 
@@ -339,7 +521,7 @@ mod tests {
         t.record(NewSpan {
             name: "serve.dispatch",
             ticket: Some(ticket),
-            parent: Some(SpanId(999)),
+            parent: SpanId::new(999),
             ..NewSpan::default()
         });
         assert_eq!(t.orphans().len(), 1);
@@ -363,7 +545,7 @@ mod tests {
     fn shard_tracer_buffers_and_drains() {
         let mut s = ShardTracer::new();
         s.push("serve.shield", None, at(0), at(5), format_args!(""));
-        assert!(s.take().is_empty(), "disabled buffer stays empty");
+        assert_eq!(s.drain().len(), 0, "disabled buffer stays empty");
         s.set_enabled(true);
         s.push(
             "serve.shield",
@@ -379,15 +561,223 @@ mod tests {
             at(9),
             format_args!("tokens={}", 4),
         );
-        let drained = s.take();
+        let drained: Vec<RawSpan> = s.drain().collect();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].name, "serve.shield");
         assert_eq!(drained[0].note, "");
         assert_eq!(drained[1].note, "tokens=4");
-        assert!(s.take().is_empty());
+        assert_eq!(s.drain().len(), 0);
         assert_eq!(
             drained[1].end.duration_since(drained[1].start).as_nanos(),
             4
         );
+    }
+
+    #[test]
+    fn notes_are_held_out_of_line_and_read_back_by_id() {
+        let mut t = Tracer::enabled();
+        let plain = t.record(NewSpan {
+            name: "serve.dispatch",
+            ..NewSpan::default()
+        });
+        let noted = t.record(NewSpan {
+            name: "recovery.retry",
+            note: "round 2".to_string(),
+            ..NewSpan::default()
+        });
+        assert_eq!(t.note(plain.unwrap()), "");
+        assert_eq!(t.note(noted.unwrap()), "round 2");
+        assert_eq!(t.note(SpanId::new(77).unwrap()), "", "never recorded");
+    }
+
+    #[test]
+    fn recording_stops_at_id_exhaustion_and_never_wraps() {
+        let mut t = Tracer::enabled();
+        // Stand in for four billion recorded spans.
+        t.len = u32::MAX - 1;
+        let last = t.record(NewSpan::default());
+        assert_eq!(last.map(SpanId::raw), Some(u32::MAX - 1));
+        assert_eq!(t.record(NewSpan::default()), None);
+        assert_eq!(t.len(), u32::MAX as usize);
+        assert_eq!(SpanId::new(u32::MAX), None);
+    }
+
+    #[test]
+    fn an_unused_tracer_holds_no_storage() {
+        let t = Tracer::enabled();
+        assert!(t.segments.is_empty() && t.newest.pages.is_empty());
+        assert!(t.spans().is_empty());
+        assert_eq!(t.spans().last(), None);
+        assert_eq!(t.spans().iter().count(), 0);
+    }
+
+    /// The representation this store replaced, kept as the oracle: one
+    /// `Vec` of spans that own their notes, every ticket query a filter
+    /// over the whole store.
+    mod oracle {
+        use super::super::{NewSpan, RawSpan};
+        use guillotine_types::TicketId;
+        use std::collections::HashSet;
+
+        pub struct VecTracer {
+            pub spans: Vec<NewSpan>,
+        }
+
+        impl VecTracer {
+            fn resolves(&self, link: Option<super::SpanId>) -> bool {
+                link.is_none_or(|id| (id.raw() as usize) < self.spans.len())
+            }
+
+            /// Raw ids of a ticket's spans, in recording order.
+            pub fn spans_for(&self, ticket: TicketId) -> Vec<usize> {
+                (0..self.spans.len())
+                    .filter(|&i| self.spans[i].ticket == Some(ticket))
+                    .collect()
+            }
+
+            pub fn orphans(&self) -> Vec<usize> {
+                (0..self.spans.len())
+                    .filter(|&i| {
+                        let s = &self.spans[i];
+                        !self.resolves(s.parent) || !self.resolves(s.follows)
+                    })
+                    .collect()
+            }
+
+            pub fn has_complete_tree(&self, ticket: TicketId) -> bool {
+                let mut rooted = false;
+                for span in self.spans.iter().filter(|s| s.ticket == Some(ticket)) {
+                    if !self.resolves(span.parent) || !self.resolves(span.follows) {
+                        return false;
+                    }
+                    rooted |= span.parent.is_none();
+                }
+                rooted
+            }
+
+            pub fn traced_tickets(&self) -> Vec<TicketId> {
+                let mut seen = HashSet::new();
+                self.spans
+                    .iter()
+                    .filter_map(|s| s.ticket)
+                    .filter(|t| seen.insert(*t))
+                    .collect()
+            }
+        }
+
+        /// `ShardTracer::take` as it was: hand the buffer over whole and
+        /// leave a fresh one sized for as many again.
+        pub fn take(buffer: &mut Vec<RawSpan>) -> Vec<RawSpan> {
+            let refill = Vec::with_capacity(buffer.len());
+            std::mem::replace(buffer, refill)
+        }
+    }
+
+    /// Ticket ids the differential test draws from: a few neighbours, one
+    /// on a far page of the ticket index, and the largest id there is.
+    const TICKETS: [u32; 6] = [0, 1, 2, 3, 5_000_000, u32::MAX];
+
+    /// A link drawn for span number `at`: absent, an earlier span, the span
+    /// itself, or an id never recorded.
+    fn link(choice: u8, pick: u32, at: u32) -> Option<SpanId> {
+        match choice {
+            0 | 1 => None,
+            2 | 3 if at > 0 => SpanId::new(pick % at),
+            4 => SpanId::new(at),
+            _ => SpanId::new(at.saturating_add(1 + pick % 1000)),
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The segmented, ticket-chained store answers every query exactly
+        /// as the one-`Vec`, filter-everything representation did.
+        #[test]
+        fn the_store_matches_the_vec_it_replaced(
+            segment_len in 1usize..=17,
+            steps in collection::vec(
+                (0usize..8, 0u8..6, 0u8..6, any::<u32>(), any::<bool>(), 0usize..70_000),
+                0..=40,
+            ),
+        ) {
+            let mut store = Tracer::new(true, segment_len);
+            let mut vec = oracle::VecTracer { spans: Vec::new() };
+            for (at, &(ticket, parent, follows, pick, noted, shard)) in steps.iter().enumerate() {
+                let at = at as u32;
+                let new = NewSpan {
+                    name: if noted { "recovery.retry" } else { "serve.dispatch" },
+                    // Two draws in eight are ticketless.
+                    ticket: TICKETS.get(ticket).copied().map(TicketId::new),
+                    shard: (shard % 3 != 0).then_some(shard),
+                    parent: link(parent, pick, at),
+                    follows: link(follows, pick.rotate_left(7), at),
+                    start: SimInstant::from_nanos(u64::from(pick)),
+                    end: SimInstant::from_nanos(u64::from(pick) + u64::from(at)),
+                    note: if noted { format!("round {pick}") } else { String::new() },
+                };
+                vec.spans.push(new.clone());
+                let id = store.record(new);
+                prop_assert_eq!(id.map(SpanId::raw), Some(at));
+                prop_assert_eq!(store.len(), vec.spans.len());
+                prop_assert_eq!(store.spans().last().map(|s| s.id), id);
+            }
+            // Same spans, same order, same contents.
+            prop_assert_eq!(store.spans().len(), vec.spans.len());
+            prop_assert_eq!(store.spans().iter().count(), vec.spans.len());
+            prop_assert!(store.segments.iter().all(|s| s.capacity() == segment_len));
+            for (at, (held, expected)) in store.spans().iter().zip(&vec.spans).enumerate() {
+                prop_assert_eq!(held.id.raw() as usize, at);
+                prop_assert_eq!(store.spans().get(held.id), Some(held));
+                prop_assert_eq!(held.name, expected.name);
+                prop_assert_eq!(held.ticket, expected.ticket);
+                prop_assert_eq!(held.parent, expected.parent);
+                prop_assert_eq!(held.follows, expected.follows);
+                prop_assert_eq!(held.shard.map(usize::from), expected.shard.filter(|&s| s <= 0xFFFF));
+                prop_assert_eq!((held.start, held.end), (expected.start, expected.end));
+                prop_assert_eq!(store.note(held.id), expected.note.as_str());
+            }
+            prop_assert_eq!(store.spans().get(SpanId::new(vec.spans.len() as u32).unwrap()), None);
+            // Same answers.
+            let raw_ids = |spans: Vec<&Span>| -> Vec<usize> {
+                spans.iter().map(|s| s.id.raw() as usize).collect()
+            };
+            prop_assert_eq!(raw_ids(store.orphans()), vec.orphans());
+            prop_assert_eq!(store.traced_tickets(), vec.traced_tickets());
+            // Including for a ticket that was never traced.
+            for ticket in TICKETS.iter().copied().chain([4]).map(TicketId::new) {
+                prop_assert_eq!(raw_ids(store.spans_for(ticket)), vec.spans_for(ticket));
+                prop_assert_eq!(store.has_complete_tree(ticket), vec.has_complete_tree(ticket));
+            }
+        }
+
+        /// Draining a shard buffer yields what `take` yielded, and the
+        /// buffer never gives capacity back.
+        #[test]
+        fn a_drained_shard_buffer_yields_what_take_did_and_keeps_its_capacity(
+            batches in collection::vec(collection::vec((0u32..4, any::<bool>()), 0..=20), 1..=8),
+        ) {
+            let mut buffer = ShardTracer::new();
+            buffer.set_enabled(true);
+            let mut taken_from: Vec<RawSpan> = Vec::new();
+            let mut capacity = 0;
+            let mut clock = 0u64;
+            for batch in &batches {
+                for &(ticket, noted) in batch {
+                    let ticket = (ticket > 0).then(|| TicketId::new(ticket));
+                    let (start, end) = (at(clock), at(clock + 5));
+                    clock += 7;
+                    let note = if noted { format!("at_token={clock}") } else { String::new() };
+                    buffer.push("stream.chunk", ticket, start, end, format_args!("{note}"));
+                    taken_from.push(RawSpan { name: "stream.chunk", ticket, start, end, note });
+                }
+                prop_assert!(buffer.spans.capacity() >= capacity);
+                capacity = buffer.spans.capacity();
+                let drained: Vec<RawSpan> = buffer.drain().collect();
+                prop_assert_eq!(drained, oracle::take(&mut taken_from));
+                prop_assert!(buffer.spans.is_empty());
+                prop_assert_eq!(buffer.spans.capacity(), capacity);
+            }
+        }
     }
 }

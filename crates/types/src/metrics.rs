@@ -77,11 +77,12 @@ impl Gauge {
 /// A fixed-bucket histogram with power-of-two bucket boundaries.
 ///
 /// Suited to latency measurements spanning several orders of magnitude
-/// (nanoseconds to seconds) without needing dynamic allocation per sample.
+/// (nanoseconds to seconds). The 64 buckets are held inline, so creating,
+/// cloning or recording into a histogram never touches the allocator.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Histogram {
     /// `buckets[i]` counts samples in `[2^i, 2^(i+1))`; bucket 0 also counts 0.
-    buckets: Vec<u64>,
+    buckets: [u64; 64],
     total: u64,
     sum: u128,
 }
@@ -96,7 +97,7 @@ impl Histogram {
     /// Creates an empty histogram covering the full `u64` range.
     pub fn new() -> Self {
         Histogram {
-            buckets: vec![0; 64],
+            buckets: [0; 64],
             total: 0,
             sum: 0,
         }

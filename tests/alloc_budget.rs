@@ -1,11 +1,13 @@
 //! Tier-1 allocation budget for the serve path, needing nothing under
-//! `perf/`: a counting global allocator around `FrontDoor::play` and around
-//! a clean detector pass.
+//! `perf/`: a counting global allocator around `FrontDoor::play`, around a
+//! clean detector pass and around the span store.
 //!
-//! Allocator calls are a count the program makes of itself and they repeat
-//! exactly, so unlike a wall-clock bar this gate cannot flake: a change
-//! that brings back a `String` per verdict, per chunk or per text copy
-//! moves the number and fails here. The budgets sit about 25 % above the
+//! Allocator calls and the bytes they request are counts the program makes
+//! of itself and they repeat exactly, so unlike a wall-clock bar this gate
+//! cannot flake: a change that brings back a `String` per verdict, per
+//! chunk or per text copy moves the calls, one that brings back a buffer
+//! grown by doubling (every span re-copied as history grows) moves the
+//! bytes, and either fails here. The budgets sit about 25 % above the
 //! values measured when they were set (stated at each), so ordinary churn
 //! elsewhere on the path has room and a per-request regression of a few
 //! allocations does not.
@@ -22,20 +24,39 @@ use guillotine::{
     ArrivalGen, ArrivalProcess, DeadlinePolicy, KvCacheConfig, ShedPolicy, TelemetryConfig,
 };
 use guillotine_detect::{CompositeDetector, Detector, ModelObservation, Verdict};
-use guillotine_types::{ModelId, SessionId, SimDuration};
+use guillotine_telemetry::{NewSpan, Tracer};
+use guillotine_types::{ModelId, SessionId, SimDuration, SimInstant, TicketId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-thread_local! {
-    /// Allocator calls (alloc + alloc_zeroed + realloc) made by this thread.
-    /// Const-initialised and without a destructor, so touching it from
-    /// inside the allocator allocates nothing and registers nothing.
-    static CALLS: Cell<u64> = const { Cell::new(0) };
+/// What one thread has asked of the allocator.
+#[derive(Debug, Clone, Copy)]
+struct Tally {
+    /// Allocator calls: alloc + alloc_zeroed + realloc.
+    calls: u64,
+    /// Bytes those calls requested (a realloc requests its new size).
+    bytes: u64,
+    /// The largest single request.
+    largest: usize,
 }
 
-fn count() {
+thread_local! {
+    /// This thread's tally. Const-initialised and without a destructor, so
+    /// touching it from inside the allocator allocates nothing and
+    /// registers nothing.
+    static TALLY: Cell<Tally> = const { Cell::new(Tally { calls: 0, bytes: 0, largest: 0 }) };
+}
+
+fn count(size: usize) {
     // `try_with`: a thread that is tearing down its locals still allocates.
-    let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+    let _ = TALLY.try_with(|tally| {
+        let so_far = tally.get();
+        tally.set(Tally {
+            calls: so_far.calls + 1,
+            bytes: so_far.bytes + size as u64,
+            largest: so_far.largest.max(size),
+        });
+    });
 }
 
 /// `System`, with every call on the current thread counted.
@@ -45,13 +66,13 @@ struct CountingAllocator;
 // pointer unchanged; the counter never influences what is returned.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: same contract as the caller's.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: same contract as the caller's.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -62,7 +83,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: same contract as the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -71,11 +92,24 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Allocator calls `f` makes on this thread, and what it returned.
-fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = CALLS.with(Cell::get);
+/// What `f` asks of the allocator on this thread (`largest` is of `f`'s own
+/// requests), and what it returned.
+fn allocations<T>(f: impl FnOnce() -> T) -> (Tally, T) {
+    let before = TALLY.with(Cell::get);
+    TALLY.with(|tally| {
+        tally.set(Tally {
+            largest: 0,
+            ..before
+        })
+    });
     let value = f();
-    (CALLS.with(Cell::get) - before, value)
+    let after = TALLY.with(Cell::get);
+    let during = Tally {
+        calls: after.calls - before.calls,
+        bytes: after.bytes - before.bytes,
+        largest: after.largest,
+    };
+    (during, value)
 }
 
 const BENIGN: [&str; 6] = [
@@ -124,9 +158,10 @@ fn benign_trace(context_bytes: usize, mean_gap: SimDuration) -> Vec<TimedArrival
         .collect()
 }
 
-/// Allocator calls per request of `FrontDoor::play` on a one-shard door
-/// with journal and telemetry on, after a warm-up play on the same door.
-fn play_allocs_per_request(context_bytes: usize, mean_gap: SimDuration) -> f64 {
+/// Allocator calls and requested bytes per request of `FrontDoor::play` on
+/// a one-shard door with journal and telemetry on, after a warm-up play on
+/// the same door.
+fn play_allocs_per_request(context_bytes: usize, mean_gap: SimDuration) -> (f64, f64) {
     let fleet = GuillotineFleet::builder()
         .with_shards(1)
         .with_kv_cache(KvCacheConfig::default())
@@ -147,56 +182,112 @@ fn play_allocs_per_request(context_bytes: usize, mean_gap: SimDuration) -> f64 {
     let warm_up: Vec<TimedArrival> = measured.drain(..WARM_UP).collect();
     let (_, served) = door.play(warm_up).unwrap();
     assert_eq!(served.len(), WARM_UP);
-    let (calls, played) = allocations(|| door.play(measured));
+    let (tally, played) = allocations(|| door.play(measured));
     let (_, served) = played.unwrap();
     assert_eq!(served.len(), MEASURED);
     assert!(served.iter().all(|response| response.delivered()));
-    calls as f64 / MEASURED as f64
+    (
+        tally.calls as f64 / MEASURED as f64,
+        tally.bytes as f64 / MEASURED as f64,
+    )
 }
 
 #[test]
 fn a_clean_verdict_allocates_nothing_and_a_clean_composite_pass_one_vec() {
-    let (calls, verdict) = allocations(|| Verdict::clean("probe"));
+    let (tally, verdict) = allocations(|| Verdict::clean("probe"));
     assert!(!verdict.flagged);
-    assert_eq!(calls, 0, "Verdict::clean must not allocate");
+    assert_eq!(tally.calls, 0, "Verdict::clean must not allocate");
 
     let mut composite = CompositeDetector::standard();
     let observation = ModelObservation::Prompt {
         model: ModelId::new(0),
         text: BENIGN[0].into(),
     };
-    let (calls, verdict) = allocations(|| composite.inspect(&observation));
+    let (tally, verdict) = allocations(|| composite.inspect(&observation));
     assert!(!verdict.flagged);
     assert_eq!(verdict.contributors.len(), 5);
     assert!(
-        calls <= 1,
+        tally.calls <= 1,
         "an unflagged composite pass may allocate its contributors Vec and nothing else, \
-         made {calls} allocator calls"
+         made {} allocator calls",
+        tally.calls
     );
 }
 
 #[test]
 fn a_benign_one_shard_trace_stays_under_its_allocation_budget() {
-    // Measured 16.3 allocator calls per request when the budget was set
-    // (59.7 at the commit before).
-    const BUDGET: f64 = 20.5;
-    let per_request = play_allocs_per_request(0, SimDuration::from_micros(2_500));
+    // Calls: measured 16.3 per request when the budget was set (59.7 at the
+    // commit before). Bytes: measured 4 954 per request when the budget was
+    // set (8 838 at the commit before).
+    const CALLS_BUDGET: f64 = 20.5;
+    const BYTES_BUDGET: f64 = 6_200.0;
+    let (calls, bytes) = play_allocs_per_request(0, SimDuration::from_micros(2_500));
     assert!(
-        per_request <= BUDGET,
-        "{per_request:.1} allocator calls per request, budget {BUDGET}"
+        calls <= CALLS_BUDGET,
+        "{calls:.1} allocator calls per request, budget {CALLS_BUDGET}"
+    );
+    assert!(
+        bytes <= BYTES_BUDGET,
+        "{bytes:.0} bytes requested per request, budget {BYTES_BUDGET}"
     );
 }
 
 #[test]
 fn a_long_context_trace_stays_under_its_allocation_budget() {
     // 1.6 KB prompts echo into 1.6 KB answers of ~48 chunks each: the trace
-    // on which a `String` per chunk costs the most. Measured 35.0 allocator
-    // calls per request when the budget was set (131.6 at the commit
+    // on which a `String` per chunk costs the most calls and a span buffer
+    // grown by doubling the most bytes. Calls: measured 35.0 per request
+    // when the budget was set (131.6 at the commit before). Bytes: measured
+    // 17 858 per request when the budget was set (50 389 at the commit
     // before).
-    const BUDGET: f64 = 44.0;
-    let per_request = play_allocs_per_request(1536, SimDuration::from_micros(16_000));
+    const CALLS_BUDGET: f64 = 44.0;
+    const BYTES_BUDGET: f64 = 22_300.0;
+    let (calls, bytes) = play_allocs_per_request(1536, SimDuration::from_micros(16_000));
     assert!(
-        per_request <= BUDGET,
-        "{per_request:.1} allocator calls per request, budget {BUDGET}"
+        calls <= CALLS_BUDGET,
+        "{calls:.1} allocator calls per request, budget {CALLS_BUDGET}"
     );
+    assert!(
+        bytes <= BYTES_BUDGET,
+        "{bytes:.0} bytes requested per request, budget {BYTES_BUDGET}"
+    );
+}
+
+#[test]
+fn the_span_store_writes_a_span_once_and_never_re_reserves_history() {
+    // No door: 100 000 spans over 10 000 tickets straight into the store.
+    // A span is 64 bytes and the store keeps it in segments of 4 096.
+    const SPANS: u32 = 100_000;
+    const TICKETS: u32 = 10_000;
+    const SEGMENT_BYTES: usize = 4096 * 64;
+    let mut tracer = Tracer::enabled();
+    let (tally, ()) = allocations(|| {
+        for i in 0..SPANS {
+            let at = SimInstant::from_nanos(u64::from(i));
+            let recorded = tracer.record(NewSpan {
+                name: "stream.chunk",
+                ticket: Some(TicketId::new(i % TICKETS)),
+                start: at,
+                end: at,
+                ..NewSpan::default()
+            });
+            assert!(recorded.is_some());
+        }
+    });
+    assert_eq!(tracer.len(), SPANS as usize);
+    // 64 stored, the rest the unused tail of the last segment and the
+    // ticket index's share. Measured 66.0 (314.6 at the commit before,
+    // whose last regrowth alone asked for 15.7 MB).
+    let per_span = tally.bytes as f64 / f64::from(SPANS);
+    assert!(
+        per_span <= 80.0,
+        "{per_span:.1} bytes requested per span, budget 80"
+    );
+    assert!(
+        tally.largest <= SEGMENT_BYTES,
+        "one request of {} bytes: growth must allocate one segment, never re-reserve history",
+        tally.largest
+    );
+    // O(own spans): every ticket's chain is its ten spans.
+    assert_eq!(tracer.spans_for(TicketId::new(TICKETS - 1)).len(), 10);
 }

@@ -198,3 +198,79 @@ fn ring_capacity_and_head_sampling_bound_the_recorder() {
     // The tracer itself is unsampled — sampling only bounds the ring.
     assert!(d.fleet().telemetry().tracer().len() > 16);
 }
+
+/// Asserts the trace is on one timebase: a `fleet.subbatch` lies within its
+/// `fleet.batch`, a shard stage span within its `fleet.subbatch`, and no
+/// span of a ticket starts before the ticket's `request` root.
+fn assert_spans_nest_on_one_clock(tracer: &guillotine::Tracer) {
+    let mut nested = 0usize;
+    for span in tracer.spans().iter() {
+        let Some(parent) = span.parent.and_then(|id| tracer.spans().get(id)) else {
+            continue;
+        };
+        let is_subbatch = span.name == "fleet.subbatch";
+        if is_subbatch {
+            assert_eq!(parent.name, "fleet.batch");
+        }
+        if is_subbatch || parent.name == "fleet.subbatch" {
+            nested += 1;
+            assert!(
+                parent.start <= span.start && span.end <= parent.end,
+                "{} [{}, {}] escapes its parent {} [{}, {}]",
+                span.name,
+                span.start.as_nanos(),
+                span.end.as_nanos(),
+                parent.name,
+                parent.start.as_nanos(),
+                parent.end.as_nanos(),
+            );
+        }
+    }
+    assert!(nested > 0, "the trace has shard stage spans");
+    for ticket in tracer.traced_tickets() {
+        let own = tracer.spans_for(ticket);
+        let root = own
+            .iter()
+            .find(|span| span.name == "request")
+            .expect("every traced ticket has a request root");
+        for span in &own {
+            assert!(
+                span.start >= root.start,
+                "ticket {ticket}: {} starts at {} ns, before its request arrived at {} ns",
+                span.name,
+                span.start.as_nanos(),
+                root.start.as_nanos(),
+            );
+        }
+    }
+}
+
+#[test]
+fn a_tickets_span_tree_is_on_one_clock() {
+    // Sparse arrivals long after t = 0: the fleet clock follows the
+    // arrivals while each shard's own clock counts only its serving time,
+    // so shard-clock instants would land seconds before the request.
+    let mut calm = door(2).with_telemetry(TelemetryConfig::full());
+    let sparse = (0..12u32)
+        .map(|i| TimedArrival {
+            at: SimInstant::from_nanos(1_000_000_000 + u64::from(i) * 50_000_000),
+            request: benign(i, i % 4),
+            deadline: None,
+        })
+        .collect();
+    let (_, responses) = calm.play(sparse).unwrap();
+    assert_eq!(responses.len(), 12);
+    assert_spans_nest_on_one_clock(calm.fleet().telemetry().tracer());
+
+    // Under the seeded chaos plan: slowed shards stretch their windows,
+    // crashes strand sub-batches, retries and hedges re-dispatch.
+    let plan = FaultPlan::seeded(0x5EED, 4, SimDuration::from_millis(8));
+    let d = door(4)
+        .with_recovery(RecoveryConfig::default())
+        .with_journal(JournalConfig::default())
+        .with_telemetry(TelemetryConfig::full());
+    let mut chaos = ChaosDoor::new(d, plan);
+    chaos.play(arrivals(96, 12)).unwrap();
+    let (stormy, _) = chaos.into_parts();
+    assert_spans_nest_on_one_clock(stormy.fleet().telemetry().tracer());
+}
