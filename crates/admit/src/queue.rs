@@ -156,16 +156,6 @@ impl<T> AdmissionController<T> {
         self.capacity
     }
 
-    /// The configured shed policy.
-    pub fn shed_policy(&self) -> ShedPolicy {
-        self.shed
-    }
-
-    /// The batch former's name, for reports.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Admission statistics so far.
     pub fn stats(&self) -> &AdmissionStats {
         &self.stats

@@ -7,6 +7,7 @@
 //! dependency here (the same call `guillotine-bench` makes for
 //! `BENCH_*.json`).
 
+use guillotine_types::encode::json_escape;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -224,18 +225,6 @@ impl AuditReport {
     }
 }
 
-/// Escapes a string for embedding in a JSON document.
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,7 +269,7 @@ mod tests {
         report.add_allow("crates/core/src/fleet.rs:495", "no-panic");
         let json = report.to_json();
         assert!(json.contains("\\\"EmitChunk\\\""));
-        assert!(json.contains("\\u000a"));
+        assert!(json.contains("\"\\nafter sever"), "{json}");
         assert!(json.contains("\"gating_findings\": 1"));
         assert!(json.contains("fail-closed-when-fully-quarantined"));
         assert!(json.contains("no-panic"));

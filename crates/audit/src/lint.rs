@@ -48,8 +48,9 @@
 //!   strings — only a flagged branch formats a reason, under an
 //!   `audit:allow` that says so; and the functions every span passes
 //!   through (`ShardTracer::push`, `GuillotineFleet::collect_shard_spans`,
-//!   `Telemetry::span`, `Tracer::record`, `FlightRecorder::offer`), where
-//!   only an annotated span — a sever marker — formats a note.
+//!   `Telemetry::span`, `Tracer::record`, and `Tracer::root_of`, which
+//!   parents every door-side span), where only an annotated span — a sever
+//!   marker — formats a note.
 //!
 //! # The `audit:allow` escape
 //!
@@ -68,10 +69,12 @@ use crate::finding::{Finding, Layer, Severity};
 use std::path::Path;
 
 /// The serve-path modules held to the `no-panic` rule. The telemetry
-/// record path is included: it runs inline on every span and metric the
+/// record path is included: it runs inline on every span and incident the
 /// serving loop emits, so a panic there takes down serving exactly as a
-/// panic in a serve stage would. So is the forward pass: its sweep pool's
-/// helpers run the sweeps every batch waits on.
+/// panic in a serve stage would. (`registry.rs` is no longer on that path —
+/// a registry is an export — but `stats()` and the artifact dumps build one
+/// on a live door between batches, so it stays listed.) So is the forward
+/// pass: its sweep pool's helpers run the sweeps every batch waits on.
 const SERVE_PATH: [&str; 10] = [
     "crates/core/src/serve.rs",
     "crates/core/src/deployment.rs",
@@ -98,7 +101,7 @@ const JOURNAL_WRITE_PATH: [&str; 4] = [
 /// those rules do not cover whole: `(file, function names)`. Each runs once
 /// per request — on the request's full text, or once per verdict, per
 /// streamed chunk or per span of it.
-pub const PER_REQUEST_FNS: [(&str, &[&str]); 14] = [
+pub const PER_REQUEST_FNS: [(&str, &[&str]); 13] = [
     (
         "crates/hv/src/hypervisor.rs",
         &[
@@ -125,9 +128,11 @@ pub const PER_REQUEST_FNS: [(&str, &[&str]); 14] = [
     ("crates/detect/src/steering.rs", &["inspect"]),
     ("crates/detect/src/circuit_breaker.rs", &["inspect"]),
     ("crates/detect/src/anomaly.rs", &["inspect"]),
-    ("crates/telemetry/src/span.rs", &["record", "push"]),
+    (
+        "crates/telemetry/src/span.rs",
+        &["record", "push", "root_of"],
+    ),
     ("crates/telemetry/src/lib.rs", &["span"]),
-    ("crates/telemetry/src/recorder.rs", &["offer"]),
     ("crates/core/src/fleet.rs", &["collect_shard_spans"]),
 ];
 

@@ -70,8 +70,8 @@ fn per_request_functions_exist_where_the_lint_looks() {
 /// `begin_batch`/`finish_batch` and the front door's `submit_at` are under
 /// `no-string-alloc` needing no escape — and `ShardTracer::push`, which
 /// formats the note of an annotated span (a sever marker) and nothing for
-/// any other; `Tracer::record`, `Telemetry::span`, `FlightRecorder::offer`
-/// and the fleet's `collect_shard_spans` need no escape. If this list
+/// any other; `Tracer::record`, `Tracer::root_of`, `Telemetry::span` and
+/// the fleet's `collect_shard_spans` need no escape. If this list
 /// grows, the new entry was either justified in review or someone is
 /// bypassing the gate — either way it should show up in a test diff.
 #[test]

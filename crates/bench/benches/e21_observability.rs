@@ -11,9 +11,11 @@
 //!   must end with a complete causal span tree (root + resolvable
 //!   parent/follows links), the tracer must hold zero orphans, and the
 //!   flight recorder must carry one correlation entry per injected fault,
-//!   joining it to the tickets whose recovery it forced.
+//!   joining it to the tickets whose recovery it forced — and every crash
+//!   incident it dumped must name the crash fault of its own shard, though
+//!   a pre-armed crash fires before the chaos engine has noted it.
 //!
-//! Artifacts: `METRICS_e21.json` (the merged fleet registry) and
+//! Artifacts: `METRICS_e21.json` (the front door's metrics export) and
 //! `FLIGHT_RECORDER_e21.json` (incident dumps + fault correlations), both
 //! archived by CI next to `BENCH_e21.json`.
 
@@ -23,7 +25,9 @@ use guillotine::chaos::{ChaosDoor, FaultPlan};
 use guillotine::fleet::GuillotineFleet;
 use guillotine::recovery::RecoveryConfig;
 use guillotine::serve::{ServePriority, ServeRequest};
-use guillotine::{AdmissionDecision, DeadlinePolicy, KvCacheConfig, ShedPolicy, TelemetryConfig};
+use guillotine::{
+    AdmissionDecision, DeadlinePolicy, IncidentKind, KvCacheConfig, ShedPolicy, TelemetryConfig,
+};
 use guillotine_types::{SessionId, SimDuration, SimInstant, TicketId};
 
 const BATCH: usize = 64;
@@ -201,7 +205,23 @@ fn bench(c: &mut Criterion) {
         "the schedule fires at least one incident dump"
     );
 
-    let metrics_json = telemetry.merged_metrics().to_json();
+    let recorder = telemetry.recorder();
+    let crashes = recorder.incidents().iter();
+    let crashes = crashes.filter(|incident| incident.kind == IncidentKind::ShardCrash);
+    for incident in crashes.clone() {
+        let shard = incident.shard.expect("a shard crash names its shard");
+        assert_eq!(
+            recorder.fault_at(incident.at).map(|f| f.kind.as_str()),
+            Some(format!("shard-crash(shard {shard})").as_str()),
+            "a crash incident must be attributed to its own shard's crash fault"
+        );
+    }
+    assert!(
+        crashes.count() > 0,
+        "the seeded plan always crashes shard 0"
+    );
+
+    let metrics_json = door.metrics().to_json();
     std::fs::write("METRICS_e21.json", &metrics_json).expect("write metrics");
     std::fs::write("FLIGHT_RECORDER_e21.json", telemetry.recorder().to_json())
         .expect("write flight recorder");

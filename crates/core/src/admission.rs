@@ -31,7 +31,7 @@
 //! refusal, never dropped. The real queue wait is added to each response's
 //! `latency.queue`.
 
-use crate::fleet::{BatchAttempt, FleetReport, FleetStats, GuillotineFleet};
+use crate::fleet::{add_counted, BatchAttempt, FleetReport, FleetStats, GuillotineFleet};
 use crate::recovery::{DegradationMode, RecoveryConfig};
 use crate::serve::{
     LatencyBreakdown, ServeOutcomeKind, ServePriority, ServeRequest, ServeResponse,
@@ -41,7 +41,7 @@ use guillotine_admit::{
     EntryStamp, ShedPolicy,
 };
 use guillotine_journal::{rebuild, CompletionKind, SnapshotView, TicketSet, WalRecord};
-use guillotine_telemetry::{IncidentKind, NewSpan, SpanId, TelemetryConfig};
+use guillotine_telemetry::{IncidentKind, MetricsRegistry, NewSpan, SpanId, TelemetryConfig};
 use guillotine_types::{DetRng, Result, SimDuration, SimInstant, TicketId};
 
 pub use guillotine_journal::{JournalConfig, JournalStore};
@@ -155,12 +155,6 @@ pub struct FrontDoor {
     pending_control_crashes: Vec<SimInstant>,
     /// Report of the most recent control-plane crash recovery.
     last_control_recovery: Option<ControlRecovery>,
-    /// Root span id per raw ticket still owed a settlement, so door- and
-    /// recovery-side spans parent under the request's root. Observer state,
-    /// not control-plane state: a ticket's entry deliberately survives a
-    /// control-plane crash the ticket survives, because the flight recorder
-    /// is how crashes get diagnosed afterwards.
-    request_roots: HashMap<u32, SpanId>,
 }
 
 impl FrontDoor {
@@ -185,15 +179,14 @@ impl FrontDoor {
             journal: None,
             pending_control_crashes: Vec::new(),
             last_control_recovery: None,
-            request_roots: HashMap::new(),
         }
     }
 
     /// Turns on end-to-end telemetry: per-ticket span trees across
     /// admission, dispatch, per-shard serve stages and recovery actions,
-    /// per-shard metrics registries merged fleet-wide, and the incident
-    /// flight recorder. Delegates to the fleet, which owns the
-    /// [`guillotine_telemetry::Telemetry`] facade.
+    /// the stage-latency histograms [`FrontDoor::metrics`] folds from
+    /// them, and the incident flight recorder. Delegates to the fleet,
+    /// which owns the [`guillotine_telemetry::Telemetry`] facade.
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
         self.fleet.enable_telemetry(config);
     }
@@ -256,11 +249,6 @@ impl FrontDoor {
         self
     }
 
-    /// The active recovery configuration, if any.
-    pub fn recovery_config(&self) -> Option<&RecoveryConfig> {
-        self.recovery.as_ref()
-    }
-
     /// Turns on crash consistency: every admission lifecycle transition
     /// (acked enqueue, shed, batch dispatch, completion) is committed to a
     /// checksummed write-ahead log *before* it is acknowledged, and the
@@ -316,12 +304,14 @@ impl FrontDoor {
     /// also the chaos driver's entry point for `ControlPlaneCrash` faults.
     pub fn fire_due_control_crash(&mut self) -> bool {
         let now = self.fleet.clock.now();
-        let due = matches!(self.pending_control_crashes.first(), Some(&at) if at <= now);
-        if due {
-            self.pending_control_crashes.remove(0);
-            self.crash_control_plane();
+        match self.pending_control_crashes.first() {
+            Some(&armed) if armed <= now => {
+                self.pending_control_crashes.remove(0);
+                self.crash_control_plane(armed);
+                true
+            }
+            _ => false,
         }
-        due
     }
 
     /// Corrupts the latest snapshot at rest (chaos `SnapshotCorruption`):
@@ -368,12 +358,6 @@ impl FrontDoor {
     /// injection).
     pub fn fleet_mut(&mut self) -> &mut GuillotineFleet {
         &mut self.fleet
-    }
-
-    /// Tears the door down, returning the fleet. Anything still queued is
-    /// dropped; call [`FrontDoor::drain`] first to serve it.
-    pub fn into_fleet(self) -> GuillotineFleet {
-        self.fleet
     }
 
     /// Current queue depth.
@@ -435,12 +419,6 @@ impl FrontDoor {
             };
             if refuse {
                 self.fleet.recovery_mut().ladder_shed += 1;
-                if self.fleet.telemetry().is_enabled() {
-                    self.fleet
-                        .telemetry_mut()
-                        .metrics_mut()
-                        .incr("admission.refused");
-                }
                 return AdmissionDecision::Refused {
                     depth: self.controller.depth(),
                 };
@@ -466,35 +444,24 @@ impl FrontDoor {
                 victim, admitted, ..
             } => {
                 if let Some(ticket) = admitted {
-                    if self.fleet.telemetry().is_enabled() {
-                        // The victim's tree closes with an explicit shed
-                        // marker instead of dangling open.
-                        let now = self.fleet.clock.now();
-                        let root = self.request_roots.remove(&victim.raw());
-                        let telemetry = self.fleet.telemetry_mut();
-                        telemetry.metrics_mut().incr("admission.shed");
-                        telemetry.span(NewSpan {
-                            name: "admission.shed",
-                            ticket: Some(victim),
-                            parent: root,
-                            start: now,
-                            end: now,
-                            ..NewSpan::default()
-                        });
-                    }
+                    // The victim's tree closes with an explicit shed
+                    // marker instead of dangling open.
+                    let now = self.fleet.clock.now();
+                    let telemetry = self.fleet.telemetry_mut();
+                    telemetry.span(NewSpan {
+                        name: "admission.shed",
+                        ticket: Some(victim),
+                        parent: telemetry.tracer().root_of(victim),
+                        start: now,
+                        end: now,
+                        ..NewSpan::default()
+                    });
                     self.telemetry_admit(ticket, arrival);
                     self.journal_append(&WalRecord::Shed { ticket: victim });
                     self.journal_enqueue();
                 }
             }
-            AdmissionDecision::Refused { .. } => {
-                if self.fleet.telemetry().is_enabled() {
-                    self.fleet
-                        .telemetry_mut()
-                        .metrics_mut()
-                        .incr("admission.refused");
-                }
-            }
+            AdmissionDecision::Refused { .. } => {}
         }
         decision
     }
@@ -620,14 +587,13 @@ impl FrontDoor {
         let mut attempt_spans: Vec<Option<SpanId>> = vec![None; requests.len()];
         if self.fleet.telemetry().is_enabled() {
             let end = self.fleet.clock.now();
+            let telemetry = self.fleet.telemetry_mut();
             for (slot, (stamp, dispatched)) in stamps.iter().enumerate() {
-                let root = self.request_roots.get(&stamp.ticket.raw()).copied();
-                let shard = attempt.shards[slot];
-                attempt_spans[slot] = self.fleet.telemetry_mut().span(NewSpan {
+                attempt_spans[slot] = telemetry.span(NewSpan {
                     name: "serve.dispatch",
                     ticket: Some(stamp.ticket),
-                    shard,
-                    parent: root,
+                    shard: attempt.shards[slot],
+                    parent: telemetry.tracer().root_of(stamp.ticket),
                     start: *dispatched,
                     end,
                     ..NewSpan::default()
@@ -661,13 +627,11 @@ impl FrontDoor {
             failed = retry.failed.into_iter().map(|j| slots[j]).collect();
             if self.fleet.telemetry().is_enabled() {
                 let end = self.fleet.clock.now();
+                let telemetry = self.fleet.telemetry_mut();
                 for &slot in &slots {
                     let ticket = stamps[slot].0.ticket;
-                    let root = self.request_roots.get(&ticket.raw()).copied();
                     let follows = attempt_spans[slot];
                     let shard = attempt.shards[slot];
-                    let telemetry = self.fleet.telemetry_mut();
-                    telemetry.metrics_mut().incr("recovery.retries");
                     // This retry is the fleet reacting to whatever fault
                     // was injected last — correlate the ticket to it.
                     telemetry.recorder_mut().note_delay(ticket, end);
@@ -675,7 +639,7 @@ impl FrontDoor {
                         name: "recovery.retry",
                         ticket: Some(ticket),
                         shard,
-                        parent: root,
+                        parent: telemetry.tracer().root_of(ticket),
                         follows,
                         start: round_start,
                         end,
@@ -688,13 +652,6 @@ impl FrontDoor {
             // Retry budget exhausted: fail closed with an explicit refusal
             // — the request is answered, never silently dropped.
             self.fleet.recovery_mut().retries_exhausted += failed.len() as u64;
-            if self.fleet.telemetry().is_enabled() {
-                let n = failed.len() as u64;
-                self.fleet
-                    .telemetry_mut()
-                    .metrics_mut()
-                    .add("recovery.retries_exhausted", n);
-            }
             for slot in failed {
                 attempt.responses[slot] = Some(self.refusal_for(&requests[slot]));
             }
@@ -738,14 +695,8 @@ impl FrontDoor {
                 // it: a follows-from link, same parent.
                 let end = self.fleet.clock.now();
                 let ticket = stamps[slot].0.ticket;
-                let root = self.request_roots.get(&ticket.raw()).copied();
                 let follows = attempt_spans[slot];
                 let telemetry = self.fleet.telemetry_mut();
-                telemetry.metrics_mut().incr(if timed_out {
-                    "recovery.timeouts"
-                } else {
-                    "recovery.hedges"
-                });
                 telemetry.recorder_mut().note_delay(ticket, end);
                 attempt_spans[slot] = telemetry.span(NewSpan {
                     name: if timed_out {
@@ -755,7 +706,7 @@ impl FrontDoor {
                     },
                     ticket: Some(ticket),
                     shard: Some(target),
-                    parent: root,
+                    parent: telemetry.tracer().root_of(ticket),
                     follows,
                     start: hedge_start,
                     end,
@@ -993,16 +944,19 @@ impl FrontDoor {
     /// then rebuilt from the journal (latest valid snapshot plus WAL
     /// suffix replay, torn tail truncated) or, without one, from nothing.
     /// Replay work is charged to the fleet clock as downtime.
-    fn crash_control_plane(&mut self) {
+    ///
+    /// `armed` is the instant the crash was scheduled for. It lands later,
+    /// at the first boundary past it, but its incident is stamped `armed`
+    /// (as a shard crash's is): an incident is attributed to a fault by
+    /// instant, and that is the one the chaos schedule knows the fault by.
+    fn crash_control_plane(&mut self, armed: SimInstant) {
         let now = self.fleet.clock.now();
         if self.fleet.telemetry().is_enabled() {
             let queued = self.controller.depth();
             let wal_offset = self.wal_offset();
-            let telemetry = self.fleet.telemetry_mut();
-            telemetry.metrics_mut().incr("fleet.control_plane_crashes");
-            telemetry.recorder_mut().incident(
+            self.fleet.telemetry_mut().incident(
                 IncidentKind::ControlPlaneCrash,
-                now,
+                armed,
                 None,
                 None,
                 wal_offset,
@@ -1111,21 +1065,14 @@ impl FrontDoor {
         }
         if self.fleet.telemetry().is_enabled() {
             // A re-queued ticket was delayed by whatever fault forced the
-            // crash — feed the correlation table. Its root span stays for
-            // its eventual settlement; the root of a ticket that did not
-            // come back (no journal, torn enqueue) has nothing left to
-            // parent and goes.
+            // crash — feed the correlation table. (Its root span is still
+            // there when it settles: the span store is observer state and
+            // survives a crash of the control plane it diagnoses.)
             let restored_at = self.fleet.clock.now();
             let recorder = self.fleet.telemetry_mut().recorder_mut();
-            let mut kept = HashMap::new();
             for (stamp, _) in self.controller.entries() {
                 recorder.note_delay(stamp.ticket, restored_at);
-                let raw = stamp.ticket.raw();
-                if let Some(root) = self.request_roots.remove(&raw) {
-                    kept.insert(raw, root);
-                }
             }
-            self.request_roots = kept;
         }
         self.last_control_recovery = Some(summary);
     }
@@ -1161,27 +1108,20 @@ impl FrontDoor {
             .unwrap_or(0)
     }
 
-    /// Opens the per-ticket root span at admission and counts the
-    /// enqueue. The root is a zero-width anchor at the arrival instant:
-    /// spans are recorded whole, so the lifecycle it anchors is told by
-    /// its children (queue wait, dispatch, retries) rather than by a
-    /// mutable open interval.
+    /// Opens the per-ticket root span at admission. The root is a
+    /// zero-width anchor at the arrival instant: spans are recorded whole,
+    /// so the lifecycle it anchors is told by its children (queue wait,
+    /// dispatch, retries) rather than by a mutable open interval. It is the
+    /// ticket's only parentless span, so `Tracer::root_of` finds it when
+    /// those children are recorded.
     fn telemetry_admit(&mut self, ticket: TicketId, arrival: SimInstant) {
-        if !self.fleet.telemetry().is_enabled() {
-            return;
-        }
-        let telemetry = self.fleet.telemetry_mut();
-        telemetry.metrics_mut().incr("admission.enqueued");
-        let root = telemetry.span(NewSpan {
+        self.fleet.telemetry_mut().span(NewSpan {
             name: "request",
             ticket: Some(ticket),
             start: arrival,
             end: arrival,
             ..NewSpan::default()
         });
-        if let Some(root) = root {
-            self.request_roots.insert(ticket.raw(), root);
-        }
     }
 
     /// Emits the door-side spans and incidents for one settled request:
@@ -1201,30 +1141,22 @@ impl FrontDoor {
         }
         let wal_offset = self.wal_offset();
         let ticket = stamp.ticket;
-        // Settlement is the last reader of the ticket's root span id.
-        let root = self.request_roots.remove(&ticket.raw());
         let missed = stamp.deadline.is_some_and(|deadline| achieved > deadline);
-        let wait = dispatched.duration_since(stamp.arrival);
         let telemetry = self.fleet.telemetry_mut();
         telemetry.span(NewSpan {
             name: "admission.queue",
             ticket: Some(ticket),
-            parent: root,
+            parent: telemetry.tracer().root_of(ticket),
             start: stamp.arrival,
             end: dispatched,
             ..NewSpan::default()
         });
-        telemetry.metrics_mut().incr("admission.completed");
-        telemetry
-            .metrics_mut()
-            .observe("admission.queue_wait", wait.as_nanos());
         if missed {
-            telemetry.metrics_mut().incr("slo.deadline_missed");
             let late = stamp
                 .deadline
                 .map(|deadline| achieved.duration_since(deadline))
                 .unwrap_or_default();
-            telemetry.recorder_mut().incident(
+            telemetry.incident(
                 IncidentKind::DeadlineMiss,
                 achieved,
                 Some(ticket),
@@ -1234,7 +1166,7 @@ impl FrontDoor {
             );
         }
         if outcome == ServeOutcomeKind::Escalated {
-            telemetry.recorder_mut().incident(
+            telemetry.incident(
                 IncidentKind::Escalation,
                 completed,
                 Some(ticket),
@@ -1245,9 +1177,32 @@ impl FrontDoor {
         }
     }
 
+    /// [`GuillotineFleet::metrics`] plus the admission tier: its counts
+    /// from [`AdmissionStats`] (`admission.refused` is the queue's refusals
+    /// and the degradation ladder's) and, with telemetry on, its queue-wait
+    /// histogram. Serialized, this is the `METRICS.json` artifact.
+    pub fn metrics(&self) -> MetricsRegistry {
+        let mut metrics = self.fleet.metrics();
+        let admission = self.controller.stats();
+        let ladder_shed = self.fleet.recovery_stats().ladder_shed;
+        add_counted(
+            &mut metrics,
+            &[
+                ("admission.enqueued", admission.enqueued),
+                ("admission.refused", admission.refused + ladder_shed),
+                ("admission.shed", admission.shed),
+                ("slo.deadline_missed", admission.deadlines_missed),
+            ],
+        );
+        if self.fleet.telemetry().is_enabled() && admission.wait_hist.count() > 0 {
+            *metrics.histogram("admission.queue_wait") = admission.wait_hist.clone();
+        }
+        metrics
+    }
+
     /// Fleet statistics with the admission tier filled in.
     pub fn stats(&self) -> FleetStats {
-        let mut stats = self.fleet.stats();
+        let mut stats = self.fleet.stats_from(&self.metrics());
         stats.admission = Some(self.controller.stats().clone());
         if self.recovery.is_some() {
             // Charge the still-open residence in the current mode, so
@@ -1441,30 +1396,5 @@ mod tests {
         let rendered = d.report().render();
         assert!(rendered.contains("admission queue"));
         assert!(rendered.contains("deadlines"));
-    }
-
-    #[test]
-    fn request_roots_do_not_outlive_their_tickets() {
-        let mut d = door(16, ShedPolicy::FailClosed).with_telemetry(TelemetryConfig::full());
-        let trace: Vec<TimedArrival> = (0..10)
-            .map(|i| TimedArrival {
-                at: SimInstant::from_nanos(i as u64 * 1_000),
-                request: benign(i),
-                deadline: None,
-            })
-            .collect();
-        let (_, responses) = d.play(trace).unwrap();
-        assert_eq!(responses.len(), 10);
-        assert!(d.fleet().telemetry().tracer().orphans().is_empty());
-        assert!(d.request_roots.is_empty(), "a settled ticket keeps no root");
-        // Without a journal a control-plane crash loses the queue, and the
-        // lost tickets' roots go with it.
-        for i in 0..3 {
-            assert!(d.submit(benign(i)).admitted());
-        }
-        assert_eq!(d.request_roots.len(), 3);
-        d.crash_control_plane();
-        assert_eq!(d.queue_depth(), 0);
-        assert!(d.request_roots.is_empty(), "a lost ticket keeps no root");
     }
 }

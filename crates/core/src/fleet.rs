@@ -87,9 +87,11 @@ use guillotine_admit::AdmissionStats;
 use guillotine_detect::{DetectorRegistry, InputShield, OutputSanitizer};
 use guillotine_model::{KvCacheConfig, KvTier, KvTierStats};
 use guillotine_physical::{Datacenter, IsolationLevel};
-use guillotine_telemetry::{IncidentKind, NewSpan, SpanId, Telemetry, TelemetryConfig};
+use guillotine_telemetry::{
+    IncidentKind, MetricsRegistry, NewSpan, SpanId, Telemetry, TelemetryConfig,
+};
 use guillotine_types::{
-    GuillotineError, MachineId, Result, SessionId, SimClock, SimDuration, SimInstant,
+    GuillotineError, Histogram, MachineId, Result, SessionId, SimClock, SimDuration, SimInstant,
 };
 use std::sync::Arc;
 
@@ -314,13 +316,15 @@ pub struct FleetStats {
     /// Self-healing counters: crashes, MTTR, re-queues, retries, hedges,
     /// probation and degraded-mode time.
     pub recovery: RecoveryStats,
-    /// Per-stage latency percentiles from the fleet-merged telemetry
-    /// histograms; empty unless telemetry is enabled, so stats equality
-    /// between untraced runs is unaffected.
+    /// Per-stage latency percentiles: one row per histogram of the metrics
+    /// export ([`GuillotineFleet::metrics`]; behind a door,
+    /// [`FrontDoor::metrics`](crate::admission::FrontDoor::metrics)). Empty
+    /// unless telemetry is enabled, so stats equality between untraced
+    /// runs is unaffected.
     pub stages: Vec<StageLatency>,
 }
 
-/// One serving stage's latency distribution, fleet-merged.
+/// One serving stage's latency distribution, fleet-wide.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageLatency {
     /// The stage's histogram name, e.g. `serve.shield`.
@@ -592,6 +596,11 @@ struct Shard {
     slow_factor: u32,
     routed: u64,
     outcomes: OutcomeHistogram,
+    /// Inference latency, and time to first token where one streamed, of
+    /// every response placed while telemetry was on: the two exported
+    /// distributions no span carries.
+    inference: Histogram,
+    ttft: Histogram,
 }
 
 impl Shard {
@@ -628,7 +637,6 @@ pub struct BatchAttempt {
 /// A declarative builder for [`GuillotineFleet`].
 pub struct FleetBuilder {
     config: FleetConfig,
-    shard_builder: Option<Box<dyn Fn(usize) -> DeploymentBuilder>>,
     kv: Option<KvCacheConfig>,
     invalidate_kv_on_quarantine: bool,
     probation: Option<(u32, usize)>,
@@ -645,7 +653,6 @@ impl FleetBuilder {
     pub fn new() -> Self {
         FleetBuilder {
             config: FleetConfig::default(),
-            shard_builder: None,
             kv: None,
             invalidate_kv_on_quarantine: false,
             probation: None,
@@ -673,24 +680,6 @@ impl FleetBuilder {
         self
     }
 
-    /// Sets the base deployment configuration shared by every shard.
-    pub fn with_base_config(mut self, base: DeploymentConfig) -> Self {
-        self.config.base = base;
-        self
-    }
-
-    /// Supplies a per-shard [`DeploymentBuilder`] factory, for fleets whose
-    /// shards need bespoke detector stacks. The fleet still stamps each
-    /// returned builder with the shard's machine id, derived seed and (when
-    /// configured) the shared KV tier.
-    pub fn with_shard_builder(
-        mut self,
-        factory: impl Fn(usize) -> DeploymentBuilder + 'static,
-    ) -> Self {
-        self.shard_builder = Some(Box::new(factory));
-        self
-    }
-
     /// Attaches one KV/prefix cache tier of the given sizing, shared by
     /// every shard: a session re-homed off a quarantined shard keeps its
     /// cache locality on its new shard.
@@ -710,12 +699,8 @@ impl FleetBuilder {
 
     /// Assembles the fleet.
     pub fn build(self) -> Result<GuillotineFleet> {
-        let mut fleet = GuillotineFleet::assemble(
-            self.config,
-            self.shard_builder,
-            self.kv,
-            self.invalidate_kv_on_quarantine,
-        )?;
+        let mut fleet =
+            GuillotineFleet::assemble(self.config, self.kv, self.invalidate_kv_on_quarantine)?;
         if let Some((batches, cap)) = self.probation {
             fleet.probation_batches = batches;
             fleet.probation_cap = cap;
@@ -747,9 +732,8 @@ pub struct GuillotineFleet {
     /// Max requests per batch a probation shard accepts.
     probation_cap: usize,
     recovery: RecoveryStats,
-    /// Spans, metrics registries and the flight recorder; disabled (and
-    /// near-free on the serve path) until
-    /// [`GuillotineFleet::enable_telemetry`].
+    /// The span store and the flight recorder; disabled (and near-free on
+    /// the serve path) until [`GuillotineFleet::enable_telemetry`].
     telemetry: Telemetry,
     /// Fleet-level simulated clock: advances per batch by the slowest
     /// shard's delta, because shards serve concurrently on separate
@@ -760,7 +744,7 @@ pub struct GuillotineFleet {
 impl GuillotineFleet {
     /// Builds a fleet of `config.shards` standard deployments.
     pub fn new(config: FleetConfig) -> Result<Self> {
-        GuillotineFleet::assemble(config, None, None, false)
+        GuillotineFleet::assemble(config, None, false)
     }
 
     /// Starts a [`FleetBuilder`] for declarative assembly.
@@ -770,7 +754,6 @@ impl GuillotineFleet {
 
     fn assemble(
         config: FleetConfig,
-        shard_builder: Option<Box<dyn Fn(usize) -> DeploymentBuilder>>,
         kv_config: Option<KvCacheConfig>,
         invalidate_kv_on_quarantine: bool,
     ) -> Result<Self> {
@@ -788,19 +771,14 @@ impl GuillotineFleet {
         let mut shards = Vec::with_capacity(config.shards);
         for i in 0..config.shards {
             let machine = MachineId::new(config.base.machine.raw() + i as u32);
-            let mut builder = match &shard_builder {
-                Some(factory) => factory(i),
-                None => {
-                    let (shield, sanitizer) = shared_screens
-                        .get_or_insert_with(|| (InputShield::new(), OutputSanitizer::new()));
-                    DeploymentBuilder::new()
-                        .with_config(config.base.clone())
-                        .with_registry(DetectorRegistry::standard_with_screens(
-                            shield.clone(),
-                            sanitizer.clone(),
-                        ))
-                }
-            };
+            let (shield, sanitizer) =
+                shared_screens.get_or_insert_with(|| (InputShield::new(), OutputSanitizer::new()));
+            let mut builder = DeploymentBuilder::new()
+                .with_config(config.base.clone())
+                .with_registry(DetectorRegistry::standard_with_screens(
+                    shield.clone(),
+                    sanitizer.clone(),
+                ));
             if let Some(tier) = &kv {
                 builder = builder.with_kv_tier(Arc::clone(tier));
             }
@@ -816,6 +794,8 @@ impl GuillotineFleet {
                 slow_factor: 1,
                 routed: 0,
                 outcomes: OutcomeHistogram::default(),
+                inference: Histogram::new(),
+                ttft: Histogram::new(),
             });
         }
         Ok(GuillotineFleet {
@@ -837,12 +817,14 @@ impl GuillotineFleet {
         })
     }
 
-    /// Turns on spans, per-shard metrics and the flight recorder, flipping
-    /// every shard's stage tracer with it.
+    /// Turns on spans and the flight recorder, flipping every shard's
+    /// stage tracer with it. The record starts afresh.
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
         self.telemetry = Telemetry::new(config);
         for shard in &mut self.shards {
             shard.deployment.set_tracing(config.enabled);
+            shard.inference = Histogram::new();
+            shard.ttft = Histogram::new();
         }
     }
 
@@ -859,8 +841,7 @@ impl GuillotineFleet {
 
     /// Drains every shard's buffered stage spans into the tracer under a
     /// `fleet.batch` root (one `fleet.subbatch` child per participating
-    /// shard), observes per-stage latency histograms into the shard's
-    /// registry, and fires severed-stream incidents for any `stream.sever`
+    /// shard) and fires severed-stream incidents for any `stream.sever`
     /// markers the shards emitted. `started` is the fleet clock at batch
     /// start and `shard_started` every shard's own clock at that moment.
     fn collect_batch_telemetry(
@@ -879,7 +860,6 @@ impl GuillotineFleet {
             end: now,
             ..NewSpan::default()
         });
-        self.telemetry.metrics_mut().incr("fleet.batches");
         for &shard_idx in participants {
             self.collect_shard_spans(shard_idx, batch, started, shard_started[shard_idx]);
         }
@@ -918,13 +898,9 @@ impl GuillotineFleet {
             ..NewSpan::default()
         });
         for s in raw {
-            let elapsed = s.end.duration_since(s.start).as_nanos();
             let end = rebase(s.end);
             // Severs are rare tail events; only they pay for a note copy.
             let incident_note = (s.name == "stream.sever").then(|| s.note.clone());
-            self.telemetry
-                .shard_metrics_mut(shard_idx)
-                .observe(s.name, elapsed);
             let recorded = self.telemetry.span(NewSpan {
                 name: s.name,
                 ticket: s.ticket,
@@ -937,10 +913,10 @@ impl GuillotineFleet {
             });
             if recorded.is_some() {
                 if let Some(note) = incident_note {
-                    // A mid-stream sever is a tail event: dump the ring.
+                    // A mid-stream sever is a tail event: dump the window.
                     // The WAL offset is unknown at fleet level; the front
                     // door's escalation incident carries it.
-                    self.telemetry.recorder_mut().incident(
+                    self.telemetry.incident(
                         IncidentKind::SeveredStream,
                         end,
                         s.ticket,
@@ -1066,17 +1042,14 @@ impl GuillotineFleet {
             kv_dropped: before.kv_dropped(),
         };
         self.recovery.crashes += 1;
-        if self.telemetry.is_enabled() {
-            self.telemetry.metrics_mut().incr("fleet.shard_crashes");
-            self.telemetry.recorder_mut().incident(
-                IncidentKind::ShardCrash,
-                at,
-                None,
-                Some(index),
-                0,
-                String::new(),
-            );
-        }
+        self.telemetry.incident(
+            IncidentKind::ShardCrash,
+            at,
+            None,
+            Some(index),
+            0,
+            String::new(),
+        );
         self.contain(index);
         self.sync_datacenter();
     }
@@ -1329,19 +1302,10 @@ impl GuillotineFleet {
         for (&i, response) in indices.iter().zip(shard_responses) {
             shard.outcomes.record(response.outcome);
             if traced {
-                let metrics = self.telemetry.shard_metrics_mut(shard_idx);
-                metrics.incr(match response.outcome {
-                    ServeOutcomeKind::Delivered => "outcome.delivered",
-                    ServeOutcomeKind::Sanitized => "outcome.sanitized",
-                    ServeOutcomeKind::Refused => "outcome.refused",
-                    ServeOutcomeKind::Escalated => "outcome.escalated",
-                });
-                metrics.observe("serve.inference", response.latency.inference.as_nanos());
-                if response.latency.time_to_first_token > SimDuration::ZERO {
-                    metrics.observe(
-                        "serve.ttft",
-                        response.latency.time_to_first_token.as_nanos(),
-                    );
+                let latency = &response.latency;
+                shard.inference.record(latency.inference.as_nanos());
+                if latency.time_to_first_token > SimDuration::ZERO {
+                    shard.ttft.record(latency.time_to_first_token.as_nanos());
                 }
             }
             out[i] = Some(response);
@@ -1623,8 +1587,70 @@ impl GuillotineFleet {
         }
     }
 
+    /// The fleet's counts and latency distributions as a
+    /// [`MetricsRegistry`], built when asked — nothing on the serve path
+    /// writes one. Counters come from [`RecoveryStats`] and the shards'
+    /// [`OutcomeHistogram`]s, present when non-zero, telemetry on or off.
+    /// With telemetry on, one pass over the span store adds the rest:
+    /// `fleet.batches` and `admission.completed` count their spans and each
+    /// shard stage span (a child of a `fleet.subbatch`) lands in the
+    /// histogram of its name.
+    pub fn metrics(&self) -> MetricsRegistry {
+        let mut metrics = MetricsRegistry::new();
+        let (mut batches, mut completed) = (0u64, 0u64);
+        let mut subbatch = None;
+        for span in self.telemetry.tracer().spans().iter() {
+            match span.name {
+                "fleet.batch" => batches += 1,
+                "fleet.subbatch" => subbatch = Some(span.id),
+                "admission.queue" => completed += 1,
+                stage if subbatch.is_some() && span.parent == subbatch => {
+                    metrics.observe(stage, span.elapsed().as_nanos());
+                }
+                _ => {}
+            }
+        }
+        let mut outcomes = OutcomeHistogram::default();
+        for shard in &self.shards {
+            outcomes.absorb(shard.outcomes);
+            for (name, latency) in [
+                ("serve.inference", &shard.inference),
+                ("serve.ttft", &shard.ttft),
+            ] {
+                if latency.count() > 0 {
+                    metrics.histogram(name).merge(latency);
+                }
+            }
+        }
+        let r = &self.recovery;
+        add_counted(
+            &mut metrics,
+            &[
+                ("admission.completed", completed),
+                ("fleet.batches", batches),
+                ("fleet.control_plane_crashes", r.control_plane_crashes),
+                ("fleet.shard_crashes", r.crashes),
+                ("outcome.delivered", outcomes.delivered),
+                ("outcome.escalated", outcomes.escalated),
+                ("outcome.refused", outcomes.refused),
+                ("outcome.sanitized", outcomes.sanitized),
+                ("recovery.hedges", r.hedges),
+                ("recovery.retries", r.retries),
+                ("recovery.retries_exhausted", r.retries_exhausted),
+                ("recovery.timeouts", r.timeouts),
+            ],
+        );
+        metrics
+    }
+
     /// Point-in-time aggregate statistics for every shard.
     pub fn stats(&self) -> FleetStats {
+        self.stats_from(&self.metrics())
+    }
+
+    /// [`GuillotineFleet::stats`] with the stage table read off `metrics`:
+    /// the front door passes its own export, queue-wait histogram included.
+    pub(crate) fn stats_from(&self, metrics: &MetricsRegistry) -> FleetStats {
         FleetStats {
             shards: self
                 .shards
@@ -1647,7 +1673,20 @@ impl GuillotineFleet {
             rehomed_kv_misses: self.rehomed_kv_misses,
             admission: None,
             recovery: self.recovery,
-            stages: self.stage_latencies(),
+            stages: metrics
+                .histogram_names()
+                .into_iter()
+                .filter_map(|name| {
+                    let h = metrics.histogram_view(name)?;
+                    Some(StageLatency {
+                        stage: name.to_string(),
+                        count: h.count(),
+                        p50_ns: h.quantile(0.50),
+                        p95_ns: h.quantile(0.95),
+                        p99_ns: h.quantile(0.99),
+                    })
+                })
+                .collect(),
             // Computed from each shard's live plant (not the lazily-synced
             // fleet mirror), so stats are truthful even right after an
             // out-of-band intervention through `shard_mut`.
@@ -1671,28 +1710,14 @@ impl GuillotineFleet {
             stats: self.stats(),
         }
     }
+}
 
-    /// Per-stage percentiles from the fleet-merged telemetry histograms
-    /// (empty with telemetry off).
-    fn stage_latencies(&self) -> Vec<StageLatency> {
-        if !self.telemetry.is_enabled() {
-            return Vec::new();
+/// Exports each non-zero count as the counter of its name.
+pub(crate) fn add_counted(metrics: &mut MetricsRegistry, counts: &[(&str, u64)]) {
+    for &(name, n) in counts {
+        if n > 0 {
+            metrics.add(name, n);
         }
-        let merged = self.telemetry.merged_metrics();
-        merged
-            .histogram_names()
-            .iter()
-            .filter_map(|name| {
-                let h = merged.histogram_view(name)?;
-                Some(StageLatency {
-                    stage: (*name).to_string(),
-                    count: h.count(),
-                    p50_ns: h.quantile(0.50),
-                    p95_ns: h.quantile(0.95),
-                    p99_ns: h.quantile(0.99),
-                })
-            })
-            .collect()
     }
 }
 

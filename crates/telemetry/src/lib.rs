@@ -1,24 +1,31 @@
 //! End-to-end observability for the Guillotine fleet.
 //!
-//! Three pieces, one facade:
+//! One thing is live, the rest is derived from it:
 //!
-//! - [`Tracer`] — causal span trees on the simulated clock, correlated by
-//!   [`TicketId`](guillotine_types::TicketId) across admission, routing,
-//!   per-shard serve stages, streaming chunk rounds and recovery actions.
+//! - [`Tracer`] — the span store: causal span trees on the simulated
+//!   clock, correlated by [`TicketId`] across admission, routing, per-shard
+//!   serve stages, streaming chunk rounds and recovery actions. Complete
+//!   whenever telemetry is on; it is the only thing a recorded span is
+//!   written to.
+//! - [`FlightRecorder`] — incident dumps on tail events (escalation, sever,
+//!   crash, deadline miss): each copies a bounded, optionally head-sampled
+//!   window off the tail of the span store when it fires, with the WAL
+//!   offset reached; the chaos fault it answers to is resolved when the
+//!   dump is read. It holds fault and delay notes, and no spans of its own.
 //! - [`MetricsRegistry`] — hierarchically named counters/gauges/histograms,
-//!   recorded per shard and merged fleet-wide, serialized to a stable
-//!   `METRICS.json` and a Prometheus-style text form.
-//! - [`FlightRecorder`] — a bounded ring of recent spans with head
-//!   sampling, dumped on tail events (escalation, sever, crash, deadline
-//!   miss) with chaos fault ids and WAL offsets for cross-reference.
+//!   serialized to a stable `METRICS.json` and a Prometheus-style text
+//!   form. An export format, not a store: the fleet builds one on demand
+//!   from its typed stats and one fold over the span store.
 //!
-//! [`Telemetry`] bundles the three behind one enable switch so the serving
-//! path pays a single branch when observability is off.
+//! [`Telemetry`] bundles the tracer and the recorder behind one enable
+//! switch so the serving path pays a single branch when observability is
+//! off.
 
 mod recorder;
 mod registry;
 mod span;
 
+use guillotine_types::{SimInstant, TicketId};
 pub use recorder::{FaultCorrelation, FaultNote, FlightRecorder, Incident, IncidentKind};
 pub use registry::{MetricsRegistry, METRICS_SCHEMA};
 pub use span::{NewSpan, RawSpan, ShardTracer, Span, SpanId, Spans, Tracer};
@@ -28,10 +35,11 @@ pub use span::{NewSpan, RawSpan, ShardTracer, Span, SpanId, Spans, Tracer};
 pub struct TelemetryConfig {
     /// Master switch; everything is a no-op when false.
     pub enabled: bool,
-    /// Flight-recorder ring capacity in spans.
+    /// Most spans an incident dump carries: the flight recorder's window
+    /// over the tail of the span store.
     pub ring_capacity: usize,
-    /// Head-sampling modulus: the ring keeps spans of every k-th ticket
-    /// (1 keeps all).
+    /// Head-sampling modulus: an incident dump keeps spans of every k-th
+    /// ticket (1 keeps all). The span store itself is never sampled.
     pub head_sample_every: u64,
 }
 
@@ -56,13 +64,11 @@ impl TelemetryConfig {
     }
 }
 
-/// The facade the fleet owns: tracer + registries + flight recorder.
+/// The facade the fleet owns: the span store and the flight recorder.
 #[derive(Debug, Default)]
 pub struct Telemetry {
     config: TelemetryConfig,
     tracer: Tracer,
-    fleet_metrics: MetricsRegistry,
-    shard_metrics: Vec<MetricsRegistry>,
     recorder: FlightRecorder,
 }
 
@@ -83,8 +89,6 @@ impl Telemetry {
             } else {
                 Tracer::disabled()
             },
-            fleet_metrics: MetricsRegistry::new(),
-            shard_metrics: Vec::new(),
             recorder,
         }
     }
@@ -99,16 +103,35 @@ impl Telemetry {
         self.config
     }
 
-    /// Records a span (tracer + flight-recorder ring) and returns its id;
-    /// `None` when disabled.
+    /// Records a span and returns its id; `None` when disabled.
     pub fn span(&mut self, new: NewSpan) -> Option<SpanId> {
-        let id = self.tracer.record(new)?;
-        // The id we just recorded is the tracer's newest span; the
-        // recorder copies it only if sampling admits it to the ring.
-        if let Some(span) = self.tracer.spans().last() {
-            self.recorder.offer(span);
+        self.tracer.record(new)
+    }
+
+    /// Fires an incident dump: the trigger plus a copy of the last
+    /// `ring_capacity` head-sampled spans recorded. A no-op when disabled.
+    pub fn incident(
+        &mut self,
+        kind: IncidentKind,
+        at: SimInstant,
+        ticket: Option<TicketId>,
+        shard: Option<usize>,
+        wal_offset: u64,
+        detail: String,
+    ) {
+        if !self.config.enabled {
+            return;
         }
-        Some(id)
+        let trigger = Incident {
+            kind,
+            at,
+            ticket,
+            shard,
+            wal_offset,
+            detail,
+            spans: Vec::new(),
+        };
+        self.recorder.fire(&self.tracer, trigger);
     }
 
     /// The span store, for causal queries.
@@ -116,52 +139,12 @@ impl Telemetry {
         &self.tracer
     }
 
-    /// The fleet-level metrics registry (admission, routing, recovery).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.fleet_metrics
-    }
-
-    /// Mutable fleet-level registry; no-op-friendly callers should gate on
-    /// [`Telemetry::is_enabled`] before doing expensive label formatting.
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.fleet_metrics
-    }
-
-    /// Mutable per-shard registry, growing the table on first use.
-    pub fn shard_metrics_mut(&mut self, shard: usize) -> &mut MetricsRegistry {
-        if shard >= self.shard_metrics.len() {
-            self.shard_metrics
-                .resize_with(shard + 1, MetricsRegistry::new);
-        }
-        &mut self.shard_metrics[shard]
-    }
-
-    /// Read view of a shard's registry, if it ever recorded.
-    pub fn shard_metrics(&self, shard: usize) -> Option<&MetricsRegistry> {
-        self.shard_metrics.get(shard)
-    }
-
-    /// Number of shards with a registry.
-    pub fn shard_count(&self) -> usize {
-        self.shard_metrics.len()
-    }
-
-    /// The fleet-wide view: fleet-level metrics merged with every shard's
-    /// registry (counters/histogram buckets add, gauges peak).
-    pub fn merged_metrics(&self) -> MetricsRegistry {
-        let mut merged = self.fleet_metrics.clone();
-        for shard in &self.shard_metrics {
-            merged.merge(shard);
-        }
-        merged
-    }
-
     /// The flight recorder, for incident queries and dumps.
     pub fn recorder(&self) -> &FlightRecorder {
         &self.recorder
     }
 
-    /// Mutable flight recorder, for fault notes and incident triggers.
+    /// Mutable flight recorder, for fault and delay notes.
     pub fn recorder_mut(&mut self) -> &mut FlightRecorder {
         &mut self.recorder
     }
@@ -170,7 +153,17 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use guillotine_types::{SimInstant, TicketId};
+
+    fn fire(t: &mut Telemetry) {
+        t.incident(
+            IncidentKind::DeadlineMiss,
+            SimInstant::from_nanos(20),
+            None,
+            None,
+            0,
+            String::new(),
+        );
+    }
 
     #[test]
     fn disabled_telemetry_is_a_no_op() {
@@ -182,7 +175,8 @@ mod tests {
         });
         assert_eq!(id, None);
         assert!(t.tracer().is_empty());
-        assert_eq!(t.recorder().ring_len(), 0);
+        fire(&mut t);
+        assert!(t.recorder().incidents().is_empty());
     }
 
     #[test]
@@ -197,22 +191,11 @@ mod tests {
         });
         assert!(root.is_some());
         assert_eq!(t.tracer().len(), 1);
-        assert_eq!(t.recorder().ring_len(), 1);
-    }
-
-    #[test]
-    fn merged_metrics_fold_fleet_and_shards() {
-        let mut t = Telemetry::new(TelemetryConfig::full());
-        t.metrics_mut().incr("fleet.batches");
-        t.shard_metrics_mut(0).observe("serve.decode_ns", 100);
-        t.shard_metrics_mut(2).observe("serve.decode_ns", 300);
-        assert_eq!(t.shard_count(), 3);
-        assert!(t.shard_metrics(1).is_some_and(MetricsRegistry::is_empty));
-        let merged = t.merged_metrics();
-        assert_eq!(merged.counter_value("fleet.batches"), 1);
+        fire(&mut t);
+        let window = &t.recorder().incidents()[0].spans;
         assert_eq!(
-            merged.histogram_view("serve.decode_ns").map(|h| h.count()),
-            Some(2)
+            window.iter().map(|s| Some(s.id)).collect::<Vec<_>>(),
+            [root]
         );
     }
 }

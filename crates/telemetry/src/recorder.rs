@@ -1,18 +1,19 @@
-//! Bounded ring-buffer flight recorder with incident dumps.
+//! Flight recorder: incident dumps over the tail of the span store.
 //!
-//! Steady-state tracing would grow without bound on a long-lived fleet, so
-//! the recorder keeps only a bounded ring of recent spans, optionally
-//! head-sampled by ticket. When something goes wrong — an escalation, a
-//! mid-stream sever, a shard or control-plane crash, a deadline miss — the
-//! tail-triggered incident dump snapshots the ring *at that instant*, so
-//! the post-mortem sees what the fleet was doing right before the event,
+//! The tracer keeps every span; a post-mortem wants the last few. When
+//! something goes wrong — an escalation, a mid-stream sever, a shard or
+//! control-plane crash, a deadline miss — the tail-triggered incident dump
+//! copies the newest spans of the store *at that instant*, bounded by the
+//! configured capacity and optionally head-sampled by ticket, so the
+//! post-mortem sees what the fleet was doing right before the event,
 //! cross-referenced to the chaos schedule's fault ids and the WAL offset
-//! the journal had reached.
+//! the journal had reached. Between incidents the recorder holds no spans:
+//! the window is a view of the store.
 
-use crate::span::Span;
+use crate::span::{Span, Tracer};
 use guillotine_types::encode::{json_escape, ticket_field};
 use guillotine_types::{SimInstant, TicketId};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// What triggered an incident dump.
@@ -43,7 +44,9 @@ impl fmt::Display for IncidentKind {
     }
 }
 
-/// One tail-triggered dump: the trigger plus the ring snapshot.
+/// One tail-triggered dump: the trigger plus the window of recent spans.
+/// The chaos fault it is attributed to is resolved when read, by
+/// [`FlightRecorder::fault_at`].
 #[derive(Debug, Clone)]
 pub struct Incident {
     /// What fired.
@@ -57,13 +60,11 @@ pub struct Incident {
     /// WAL records committed when the incident fired; replay from here to
     /// see the control plane's view.
     pub wal_offset: u64,
-    /// The chaos-schedule fault most recently injected before the
-    /// incident, when a chaos engine is attached.
-    pub fault_id: Option<usize>,
     /// Freeform trigger detail.
     pub detail: String,
-    /// The last-N spans the ring held when the incident fired, copied as
-    /// recorded (a span's note stays with the tracer, under its id).
+    /// The last-N sampled spans the store held when the incident fired,
+    /// oldest first, copied as recorded (a span's note stays with the
+    /// tracer, under its id).
     pub spans: Vec<Span>,
 }
 
@@ -91,12 +92,11 @@ pub struct FaultCorrelation {
     pub delayed_tickets: Vec<TicketId>,
 }
 
-/// The bounded span ring plus incident and fault bookkeeping.
+/// The incident window's bounds plus incident and fault bookkeeping.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     capacity: usize,
     sample_every: u64,
-    ring: VecDeque<Span>,
     incidents: Vec<Incident>,
     faults: Vec<FaultNote>,
     delays: Vec<(u32, SimInstant)>,
@@ -109,38 +109,30 @@ impl Default for FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder holding at most `capacity` spans (minimum 1).
+    /// A recorder whose incidents carry at most `capacity` spans (minimum
+    /// 1).
     pub fn new(capacity: usize) -> Self {
         FlightRecorder {
             capacity: capacity.max(1),
             sample_every: 1,
-            ring: VecDeque::new(),
             incidents: Vec::new(),
             faults: Vec::new(),
             delays: Vec::new(),
         }
     }
 
-    /// Head sampling: keep only spans whose ticket id is divisible by
-    /// `every` (spans without a ticket are always kept, since they are
-    /// fleet-scoped and rare). `every = 1` keeps everything.
+    /// Head sampling: an incident window keeps only spans whose ticket id
+    /// is divisible by `every` (spans without a ticket are always kept,
+    /// since they are fleet-scoped and rare). `every = 1` keeps everything.
     pub fn set_head_sampling(&mut self, every: u64) {
         self.sample_every = every.max(1);
     }
 
-    /// Offers a span to the ring, honoring head sampling and capacity.
-    pub fn offer(&mut self, span: &Span) {
-        if self.sample_every > 1 {
-            if let Some(ticket) = span.ticket {
-                if u64::from(ticket.raw()) % self.sample_every != 0 {
-                    return;
-                }
-            }
-        }
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(*span);
+    fn sampled(&self, span: &Span) -> bool {
+        self.sample_every == 1
+            || span
+                .ticket
+                .is_none_or(|ticket| u64::from(ticket.raw()) % self.sample_every == 0)
     }
 
     /// Notes an injected fault and returns its id (its index in the chaos
@@ -165,26 +157,19 @@ impl FlightRecorder {
         self.delays.push((ticket.raw(), at));
     }
 
-    /// Fires an incident: snapshots the ring and records the trigger.
-    pub fn incident(
-        &mut self,
-        kind: IncidentKind,
-        at: SimInstant,
-        ticket: Option<TicketId>,
-        shard: Option<usize>,
-        wal_offset: u64,
-        detail: String,
-    ) {
-        self.incidents.push(Incident {
-            kind,
-            at,
-            ticket,
-            shard,
-            wal_offset,
-            fault_id: self.faults.last().map(|f| f.fault_id),
-            detail,
-            spans: self.ring.iter().copied().collect(),
-        });
+    /// Fires an incident: records `trigger` with the incident window as
+    /// its spans — the newest `capacity` spans of `tracer` that head
+    /// sampling keeps, oldest first. Reached through
+    /// [`Telemetry::incident`](crate::Telemetry::incident).
+    pub(crate) fn fire(&mut self, tracer: &Tracer, trigger: Incident) {
+        let newest_first = tracer.spans().iter().rev();
+        let mut spans: Vec<Span> = newest_first
+            .filter(|span| self.sampled(span))
+            .take(self.capacity)
+            .copied()
+            .collect();
+        spans.reverse();
+        self.incidents.push(Incident { spans, ..trigger });
     }
 
     /// Incidents fired so far, in firing order.
@@ -197,24 +182,26 @@ impl FlightRecorder {
         &self.faults
     }
 
-    /// Spans currently held by the ring.
-    pub fn ring_len(&self) -> usize {
-        self.ring.len()
+    /// The fault an event at `at` is attributed to: the latest fault
+    /// injected at or before it (ties to the later id) — the fault a
+    /// retry, hedge, re-queue or incident at that instant was reacting to.
+    /// Resolved when asked, never when the event is noted: a pre-armed
+    /// crash fires inside a serving window, before the chaos engine's note
+    /// of it arrives. `None` for an event preceding every fault.
+    pub fn fault_at(&self, at: SimInstant) -> Option<&FaultNote> {
+        self.faults
+            .iter()
+            .filter(|f| f.at <= at)
+            .max_by_key(|f| (f.at, f.fault_id))
     }
 
-    /// Every noted fault joined to the tickets it delayed (possibly none).
-    /// Each delay is attributed to the latest fault injected at or before
-    /// it — the fault a retry/hedge/re-queue at that instant was reacting
-    /// to. Delays preceding every fault stay unattributed.
+    /// Every noted fault joined to the tickets it delayed (possibly none),
+    /// each delay attributed by [`FlightRecorder::fault_at`]. Delays
+    /// preceding every fault stay unattributed.
     pub fn correlations(&self) -> Vec<FaultCorrelation> {
         let mut delayed: BTreeMap<usize, BTreeSet<u32>> = BTreeMap::new();
         for &(ticket, at) in &self.delays {
-            let blamed = self
-                .faults
-                .iter()
-                .filter(|f| f.at <= at)
-                .max_by_key(|f| (f.at, f.fault_id));
-            if let Some(fault) = blamed {
+            if let Some(fault) = self.fault_at(at) {
                 delayed.entry(fault.fault_id).or_default().insert(ticket);
             }
         }
@@ -251,7 +238,7 @@ impl FlightRecorder {
                 opt_str(incident.ticket.map(ticket_field)),
                 opt_num(incident.shard),
                 incident.wal_offset,
-                opt_num(incident.fault_id),
+                opt_num(self.fault_at(incident.at).map(|f| f.fault_id)),
                 json_escape(&incident.detail),
             ));
             let mut first_span = true;
@@ -314,53 +301,74 @@ fn opt_str(v: Option<String>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::SpanId;
+    use crate::span::NewSpan;
+    use std::collections::VecDeque;
 
-    fn span(id: u32, ticket: Option<u32>) -> Span {
-        Span {
-            id: SpanId::new(id).expect("a small id"),
-            parent: None,
-            follows: None,
-            ticket: ticket.map(TicketId::new),
-            shard: None,
+    /// Records span number `n` (ten nanoseconds apart) for `ticket`.
+    fn record(tracer: &mut Tracer, n: u32, ticket: Option<u32>) {
+        tracer.record(NewSpan {
             name: "serve.dispatch",
-            start: SimInstant::from_nanos(u64::from(id) * 10),
-            end: SimInstant::from_nanos(u64::from(id) * 10 + 5),
-            earlier: None,
+            ticket: ticket.map(TicketId::new),
+            start: SimInstant::from_nanos(u64::from(n) * 10),
+            end: SimInstant::from_nanos(u64::from(n) * 10 + 5),
+            ..NewSpan::default()
+        });
+    }
+
+    fn trigger(kind: IncidentKind, at_ns: u64, wal_offset: u64) -> Incident {
+        Incident {
+            kind,
+            at: SimInstant::from_nanos(at_ns),
+            ticket: None,
+            shard: None,
+            wal_offset,
+            detail: String::new(),
+            spans: Vec::new(),
         }
     }
 
     #[test]
     fn ring_is_bounded_and_incident_snapshots_it() {
+        let mut tracer = Tracer::enabled();
         let mut r = FlightRecorder::new(3);
         for i in 0..10 {
-            r.offer(&span(i, Some(i)));
+            record(&mut tracer, i, Some(i));
         }
-        assert_eq!(r.ring_len(), 3);
-        r.incident(
-            IncidentKind::ShardCrash,
-            SimInstant::from_nanos(500),
-            None,
-            Some(1),
-            42,
-            "window crash".to_string(),
-        );
+        r.fire(&tracer, trigger(IncidentKind::ShardCrash, 500, 42));
         let dump = &r.incidents()[0];
         assert_eq!(dump.spans.len(), 3);
-        assert_eq!(dump.spans[0].id.raw(), 7, "oldest surviving span");
+        assert_eq!(dump.spans[0].id.raw(), 7, "oldest span of the window");
+        assert_eq!(dump.spans[2].id.raw(), 9);
         assert_eq!(dump.wal_offset, 42);
-        assert_eq!(dump.fault_id, None);
+        assert!(r.fault_at(dump.at).is_none());
+        // The window is read when the incident fires, not kept: a later
+        // incident sees later spans, the earlier dump is unchanged.
+        record(&mut tracer, 10, None);
+        r.fire(&tracer, trigger(IncidentKind::ShardCrash, 600, 42));
+        assert_eq!(r.incidents()[0].spans[2].id.raw(), 9);
+        assert_eq!(r.incidents()[1].spans[2].id.raw(), 10);
     }
 
     #[test]
     fn head_sampling_keeps_every_kth_ticket_and_all_fleet_spans() {
+        let mut tracer = Tracer::enabled();
         let mut r = FlightRecorder::new(100);
         r.set_head_sampling(4);
         for i in 0..16 {
-            r.offer(&span(i, Some(i)));
+            record(&mut tracer, i, Some(i));
         }
-        r.offer(&span(99, None));
-        assert_eq!(r.ring_len(), 4 + 1, "tickets 0,4,8,12 plus the fleet span");
+        record(&mut tracer, 99, None);
+        r.fire(&tracer, trigger(IncidentKind::DeadlineMiss, 1_000, 0));
+        let tickets: Vec<Option<u32>> = r.incidents()[0]
+            .spans
+            .iter()
+            .map(|span| span.ticket.map(TicketId::raw))
+            .collect();
+        assert_eq!(
+            tickets,
+            vec![Some(0), Some(4), Some(8), Some(12), None],
+            "tickets 0,4,8,12 plus the fleet span"
+        );
     }
 
     #[test]
@@ -386,39 +394,103 @@ mod tests {
         );
         assert_eq!(cs[1].fault_id, f1);
         assert_eq!(cs[1].delayed_tickets, vec![TicketId::new(11)]);
-        r.incident(
-            IncidentKind::DeadlineMiss,
-            SimInstant::from_nanos(300),
-            Some(TicketId::new(11)),
-            None,
-            7,
-            String::new(),
+        // An incident is attributed the same way, when read: one fired at
+        // 100 before fault 0 was noted (the first line above) names it.
+        let fault_at = |ns| r.fault_at(SimInstant::from_nanos(ns)).map(|f| f.fault_id);
+        assert_eq!(
+            [fault_at(99), fault_at(100), fault_at(199), fault_at(200)],
+            [None, Some(f0), Some(f0), Some(f1)]
         );
-        assert_eq!(r.incidents()[0].fault_id, Some(f1));
     }
 
     #[test]
     fn dump_json_lists_incidents_and_correlations() {
+        let mut tracer = Tracer::enabled();
         let mut r = FlightRecorder::new(4);
-        r.offer(&span(1, Some(3)));
+        record(&mut tracer, 1, Some(3));
         r.note_fault(SimInstant::from_nanos(10), "control-plane-crash");
         r.note_delay(TicketId::new(3), SimInstant::from_nanos(12));
-        r.incident(
-            IncidentKind::ControlPlaneCrash,
-            SimInstant::from_nanos(11),
-            None,
-            None,
-            5,
-            "armed".to_string(),
+        r.fire(
+            &tracer,
+            Incident {
+                detail: "armed".to_string(),
+                ..trigger(IncidentKind::ControlPlaneCrash, 11, 5)
+            },
         );
         let json = r.to_json();
         assert!(json.contains("guillotine-flight-recorder-v1"));
         assert!(json.contains("\"kind\": \"control-plane-crash\""));
         assert!(json.contains("\"wal_offset\": 5"));
+        assert!(
+            json.contains("\"fault_id\": 0, \"detail\": \"armed\""),
+            "{json}"
+        );
+        assert!(json.contains("\"name\": \"serve.dispatch\", \"ticket\": \"3\""));
         assert!(json.contains("\"delayed_tickets\": [\"3\"]"), "{json}");
         // Empty recorder still emits both sections.
         let empty = FlightRecorder::new(1).to_json();
         assert!(empty.contains("\"incidents\": []"));
         assert!(empty.contains("\"fault_correlations\": []"));
+    }
+
+    /// The bounded ring the recorder used to fill span by span, kept as the
+    /// oracle for the window it now reads off the store.
+    struct Ring {
+        capacity: usize,
+        sample_every: u64,
+        ring: VecDeque<Span>,
+    }
+
+    impl Ring {
+        fn offer(&mut self, span: &Span) {
+            if self.sample_every > 1 {
+                if let Some(ticket) = span.ticket {
+                    if u64::from(ticket.raw()) % self.sample_every != 0 {
+                        return;
+                    }
+                }
+            }
+            if self.ring.len() == self.capacity {
+                self.ring.pop_front();
+            }
+            self.ring.push_back(*span);
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// An incident's window over the store is the sequence the ring
+        /// held at that instant — whatever the sampling modulus, wherever
+        /// the window crosses segment seams, whenever the incidents fire.
+        #[test]
+        fn the_incident_window_is_what_the_ring_held(
+            segment_len in 1usize..=9,
+            capacity in 1usize..=20,
+            sample_every in 1u64..8,
+            // Ticket draws of 12 and up are ticketless spans.
+            steps in collection::vec((0u32..16, any::<bool>()), 0..=80),
+        ) {
+            let mut tracer = Tracer::new(true, segment_len);
+            let mut recorder = FlightRecorder::new(capacity);
+            recorder.set_head_sampling(sample_every);
+            let mut oracle = Ring { capacity, sample_every, ring: VecDeque::new() };
+            let mut expected: Vec<Vec<Span>> = Vec::new();
+            for (n, &(ticket, fires)) in steps.iter().enumerate() {
+                record(&mut tracer, n as u32, (ticket < 12).then_some(ticket));
+                oracle.offer(tracer.spans().iter().next_back().expect("just recorded"));
+                if fires {
+                    recorder.fire(&tracer, trigger(IncidentKind::DeadlineMiss, n as u64, 0));
+                    expected.push(oracle.ring.iter().copied().collect());
+                }
+            }
+            // One more on the finished store (and the only one on an empty
+            // store, when no step was drawn).
+            recorder.fire(&tracer, trigger(IncidentKind::ShardCrash, 0, 0));
+            expected.push(oracle.ring.iter().copied().collect());
+            let windows: Vec<&Vec<Span>> =
+                recorder.incidents().iter().map(|incident| &incident.spans).collect();
+            prop_assert_eq!(windows, expected.iter().collect::<Vec<_>>());
+        }
     }
 }

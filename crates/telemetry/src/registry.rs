@@ -1,6 +1,12 @@
-//! Hierarchically named metrics, recorded per shard and merged fleet-wide.
+//! Hierarchically named metrics: the export format of a fleet's counts and
+//! latency distributions.
 //!
-//! Names are dot-separated paths (`serve.decode_ns`, `admission.shed`);
+//! Nothing on the serving path writes a registry. The counts live in the
+//! typed stats structs and the intervals in the span store; a registry is
+//! built from them when one is asked for (`GuillotineFleet::metrics` and
+//! `FrontDoor::metrics` in the `guillotine` crate).
+//!
+//! Names are dot-separated paths (`serve.prefill`, `admission.shed`);
 //! the registry stores them in sorted maps so the serialized forms —
 //! `METRICS.json` and the Prometheus-style text exposition — are stable
 //! byte-for-byte across runs, which is what lets a golden test pin the
@@ -42,28 +48,14 @@ impl MetricsRegistry {
         self.histograms.entry(name.to_string()).or_default()
     }
 
-    /// Shorthand: bumps the counter named `name` by one.
-    ///
-    /// Steady-state records hit the map without allocating; the
-    /// name-to-`String` copy happens only on a metric's first use.
-    pub fn incr(&mut self, name: &str) {
-        if let Some(c) = self.counters.get_mut(name) {
-            c.incr();
-            return;
-        }
-        self.counter(name).incr();
-    }
-
     /// Shorthand: adds `n` to the counter named `name`.
     pub fn add(&mut self, name: &str, n: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            c.add(n);
-            return;
-        }
         self.counter(name).add(n);
     }
 
-    /// Shorthand: records `value` into the histogram named `name`.
+    /// Shorthand: records `value` into the histogram named `name`. The
+    /// export's span fold calls this once per stage span: a name already
+    /// seen hits the map without allocating.
     pub fn observe(&mut self, name: &str, value: u64) {
         if let Some(h) = self.histograms.get_mut(name) {
             h.record(value);
@@ -88,30 +80,6 @@ impl MetricsRegistry {
     /// Sorted histogram names.
     pub fn histogram_names(&self) -> Vec<&str> {
         self.histograms.keys().map(String::as_str).collect()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Folds another registry into this one: counters and histogram buckets
-    /// add; gauges keep the maximum of currents and of high-water marks
-    /// (the fleet-wide level of a per-shard level gauge is its peak, which
-    /// is the convention the merge-equals-fleet proptest pins).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, c) in &other.counters {
-            self.counter(name).add(c.get());
-        }
-        for (name, g) in &other.gauges {
-            let mine = self.gauge(name);
-            let current = mine.current().max(g.current());
-            mine.set(g.high_water().max(mine.high_water()));
-            mine.set(current);
-        }
-        for (name, h) in &other.histograms {
-            self.histogram(name).merge(h);
-        }
     }
 
     /// Serializes the registry as stable, pretty-printed JSON — the
@@ -222,8 +190,7 @@ mod tests {
     #[test]
     fn named_metrics_are_created_on_first_use() {
         let mut r = MetricsRegistry::new();
-        assert!(r.is_empty());
-        r.incr("admission.shed");
+        r.add("admission.shed", 1);
         r.add("admission.shed", 2);
         r.gauge("queue.depth").set(5);
         r.observe("serve.decode_ns", 1_000);
@@ -233,28 +200,6 @@ mod tests {
             r.histogram_view("serve.decode_ns").map(Histogram::count),
             Some(1)
         );
-        assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn merge_adds_counters_and_histograms_and_peaks_gauges() {
-        let mut a = MetricsRegistry::new();
-        let mut b = MetricsRegistry::new();
-        a.add("x", 2);
-        b.add("x", 3);
-        b.incr("only_b");
-        a.gauge("depth").set(7);
-        a.gauge("depth").set(1);
-        b.gauge("depth").set(4);
-        a.observe("lat", 100);
-        b.observe("lat", 200);
-        a.merge(&b);
-        assert_eq!(a.counter_value("x"), 5);
-        assert_eq!(a.counter_value("only_b"), 1);
-        let depth = a.gauge("depth");
-        assert_eq!(depth.current(), 4);
-        assert_eq!(depth.high_water(), 7);
-        assert_eq!(a.histogram_view("lat").map(Histogram::count), Some(2));
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! # How spans are held
 //!
 //! Every interposition leaves a span and tracing is meant to stay fully
-//! on, so a span is written once and its history costs nothing afterwards:
+//! on, so a span is stored once (a shard stage span is written twice: its
+//! shard's buffer, then here) and its history costs nothing afterwards:
 //!
 //! - A stored [`Span`] is 64 bytes (asserted at compile time): `u32` ids,
 //!   a narrow shard index, and the freeform note — empty on everything but
@@ -26,7 +27,9 @@
 //! - Each span links to the previous span of its ticket and the tracer
 //!   keeps every ticket's newest span, so [`Tracer::spans_for`] and
 //!   [`Tracer::has_complete_tree`] walk the ticket's own chain — O(own
-//!   spans), whatever else the store holds.
+//!   spans), whatever else the store holds. Beside it sits the ticket's
+//!   most recent root: [`Tracer::root_of`] is the parent of whatever is
+//!   recorded for the ticket next, so no caller carries a map of roots.
 //!
 //! # One timebase per tree
 //!
@@ -48,7 +51,7 @@ use std::num::NonZeroU32;
 /// newest segment is noise next to a fleet's other buffers.
 const SEGMENT_SPANS: usize = 4096;
 
-/// Tickets per page of the newest-span index (4 KiB pages).
+/// Tickets per page of the ticket index (8 KiB pages).
 const TICKETS_PER_PAGE: usize = 1024;
 
 /// One run of spans, allocated whole at its full capacity and never regrown.
@@ -141,12 +144,23 @@ pub struct NewSpan {
     pub note: String,
 }
 
-/// Each ticket's newest span: a page table over raw ticket ids, which the
-/// admission queue mints densely, so a page is allocated once per
+/// What the index keeps per ticket.
+#[derive(Debug, Clone, Copy, Default)]
+struct TicketSlot {
+    /// The ticket's newest span: the head of its `earlier` chain.
+    newest: Option<SpanId>,
+    /// The ticket's most recent parentless span. Most recent, not first: a
+    /// ticket id minted again after a torn enqueue lost its first admission
+    /// is a new request, and its spans belong under the new root.
+    root: Option<SpanId>,
+}
+
+/// Each ticket's newest span and root: a page table over raw ticket ids,
+/// which the admission queue mints densely, so a page is allocated once per
 /// [`TICKETS_PER_PAGE`] tickets and never moved.
 #[derive(Debug, Default)]
 struct TicketIndex {
-    pages: BTreeMap<u32, Box<[Option<SpanId>; TICKETS_PER_PAGE]>>,
+    pages: BTreeMap<u32, Box<[TicketSlot; TICKETS_PER_PAGE]>>,
 }
 
 impl TicketIndex {
@@ -155,18 +169,23 @@ impl TicketIndex {
         (ticket.raw() / per_page, (ticket.raw() % per_page) as usize)
     }
 
-    fn newest(&self, ticket: TicketId) -> Option<SpanId> {
+    fn slot(&self, ticket: TicketId) -> Option<&TicketSlot> {
         let (page, slot) = Self::locate(ticket);
-        self.pages.get(&page)?[slot]
+        Some(&self.pages.get(&page)?[slot])
     }
 
-    /// Makes `id` the ticket's newest span and returns the one it replaces.
-    fn replace(&mut self, ticket: TicketId, id: SpanId) -> Option<SpanId> {
+    /// Makes `id` the ticket's newest span — and its root, if `is_root` —
+    /// and returns the newest span it replaces.
+    fn replace(&mut self, ticket: TicketId, id: SpanId, is_root: bool) -> Option<SpanId> {
         let (page, slot) = Self::locate(ticket);
-        self.pages
+        let slot = &mut self
+            .pages
             .entry(page)
-            .or_insert_with(|| Box::new([None; TICKETS_PER_PAGE]))[slot]
-            .replace(id)
+            .or_insert_with(|| Box::new([TicketSlot::default(); TICKETS_PER_PAGE]))[slot];
+        if is_root {
+            slot.root = Some(id);
+        }
+        slot.newest.replace(id)
     }
 }
 
@@ -188,7 +207,7 @@ pub struct Tracer {
     len: u32,
     /// The non-empty notes, ascending by span id.
     notes: Vec<(SpanId, String)>,
-    newest: TicketIndex,
+    tickets: TicketIndex,
 }
 
 impl Default for Tracer {
@@ -198,14 +217,14 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    fn new(enabled: bool, segment_len: usize) -> Self {
+    pub(crate) fn new(enabled: bool, segment_len: usize) -> Self {
         Tracer {
             enabled,
             segment_len,
             segments: Vec::new(),
             len: 0,
             notes: Vec::new(),
-            newest: TicketIndex::default(),
+            tickets: TicketIndex::default(),
         }
     }
 
@@ -245,7 +264,7 @@ impl Tracer {
             end: span.end,
             earlier: span
                 .ticket
-                .and_then(|ticket| self.newest.replace(ticket, id)),
+                .and_then(|ticket| self.tickets.replace(ticket, id, span.parent.is_none())),
         };
         match self.segments.last_mut() {
             Some(segment) if segment.len() < self.segment_len => segment.push(stored),
@@ -291,7 +310,14 @@ impl Tracer {
     fn chain(&self, ticket: TicketId) -> impl Iterator<Item = &Span> {
         let spans = self.spans();
         let at = move |link: Option<SpanId>| link.and_then(|id| spans.get(id));
-        std::iter::successors(at(self.newest.newest(ticket)), move |span| at(span.earlier))
+        let newest = self.tickets.slot(ticket).and_then(|slot| slot.newest);
+        std::iter::successors(at(newest), move |span| at(span.earlier))
+    }
+
+    /// The ticket's most recent root (parentless) span: the parent of
+    /// whatever is recorded for the ticket next. O(1).
+    pub fn root_of(&self, ticket: TicketId) -> Option<SpanId> {
+        self.tickets.slot(ticket)?.root
     }
 
     /// Spans correlated to one ticket, in recording order.
@@ -350,7 +376,7 @@ pub struct Spans<'a> {
 
 impl<'a> Spans<'a> {
     /// The spans, oldest first.
-    pub fn iter(self) -> impl Iterator<Item = &'a Span> {
+    pub fn iter(self) -> impl DoubleEndedIterator<Item = &'a Span> {
         self.tracer.segments.iter().flatten()
     }
 
@@ -362,11 +388,6 @@ impl<'a> Spans<'a> {
     /// Whether there are none.
     pub fn is_empty(self) -> bool {
         self.tracer.is_empty()
-    }
-
-    /// The most recently recorded span.
-    pub fn last(self) -> Option<&'a Span> {
-        self.tracer.segments.last()?.last()
     }
 
     /// The span recorded under `id`.
@@ -591,6 +612,37 @@ mod tests {
     }
 
     #[test]
+    fn a_reused_ticket_id_parents_under_its_newer_root() {
+        // A torn enqueue loses ticket 7's first admission; the door mints 7
+        // again for the next arrival. The first root stays in the store,
+        // and everything recorded afterwards belongs to the second.
+        let mut t = Tracer::enabled();
+        let ticket = TicketId::new(7);
+        let span = |name, parent, at_ns| NewSpan {
+            name,
+            ticket: Some(ticket),
+            parent,
+            start: at(at_ns),
+            end: at(at_ns),
+            ..NewSpan::default()
+        };
+        assert_eq!(t.root_of(ticket), None);
+        let lost = t.record(span("request", None, 0));
+        assert_eq!(t.root_of(ticket), lost);
+        let readmitted = t.record(span("request", None, 50));
+        assert_ne!(lost, readmitted);
+        assert_eq!(t.root_of(ticket), readmitted);
+        let dispatch = t.record(span("serve.dispatch", t.root_of(ticket), 60));
+        // A child is not a root: the answer does not move.
+        assert_eq!(t.root_of(ticket), readmitted);
+        assert_eq!(t.spans().get(dispatch.unwrap()).unwrap().parent, readmitted);
+        assert!(t.has_complete_tree(ticket) && t.orphans().is_empty());
+        assert_eq!(t.spans_for(ticket).len(), 3);
+        // A neighbour on the same index page is untouched.
+        assert_eq!(t.root_of(TicketId::new(8)), None);
+    }
+
+    #[test]
     fn recording_stops_at_id_exhaustion_and_never_wraps() {
         let mut t = Tracer::enabled();
         // Stand in for four billion recorded spans.
@@ -605,9 +657,9 @@ mod tests {
     #[test]
     fn an_unused_tracer_holds_no_storage() {
         let t = Tracer::enabled();
-        assert!(t.segments.is_empty() && t.newest.pages.is_empty());
+        assert!(t.segments.is_empty() && t.tickets.pages.is_empty());
         assert!(t.spans().is_empty());
-        assert_eq!(t.spans().last(), None);
+        assert_eq!(t.spans().iter().next_back(), None);
         assert_eq!(t.spans().iter().count(), 0);
     }
 
@@ -653,6 +705,13 @@ mod tests {
                     rooted |= span.parent.is_none();
                 }
                 rooted
+            }
+
+            /// Raw id of the ticket's most recent parentless span.
+            pub fn root_of(&self, ticket: TicketId) -> Option<usize> {
+                self.spans
+                    .iter()
+                    .rposition(|s| s.ticket == Some(ticket) && s.parent.is_none())
             }
 
             pub fn traced_tickets(&self) -> Vec<TicketId> {
@@ -720,7 +779,7 @@ mod tests {
                 let id = store.record(new);
                 prop_assert_eq!(id.map(SpanId::raw), Some(at));
                 prop_assert_eq!(store.len(), vec.spans.len());
-                prop_assert_eq!(store.spans().last().map(|s| s.id), id);
+                prop_assert_eq!(store.spans().iter().next_back().map(|s| s.id), id);
             }
             // Same spans, same order, same contents.
             prop_assert_eq!(store.spans().len(), vec.spans.len());
@@ -748,6 +807,10 @@ mod tests {
             for ticket in TICKETS.iter().copied().chain([4]).map(TicketId::new) {
                 prop_assert_eq!(raw_ids(store.spans_for(ticket)), vec.spans_for(ticket));
                 prop_assert_eq!(store.has_complete_tree(ticket), vec.has_complete_tree(ticket));
+                prop_assert_eq!(
+                    store.root_of(ticket).map(|id| id.raw() as usize),
+                    vec.root_of(ticket)
+                );
             }
         }
 

@@ -210,7 +210,7 @@ fn slowed_hedging_run(target_factor: u32) -> (FrontDoor, Vec<ServeResponse>) {
 #[test]
 fn hedged_serves_reach_the_metrics_registry() {
     let (door, _) = slowed_hedging_run(1);
-    let merged = door.fleet().telemetry().merged_metrics();
+    let merged = door.metrics();
     let counted: u64 = ["delivered", "sanitized", "refused", "escalated"]
         .iter()
         .map(|outcome| merged.counter_value(&format!("outcome.{outcome}")))
