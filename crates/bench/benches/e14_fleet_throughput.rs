@@ -19,7 +19,7 @@
 //! overlap them on. The Criterion group measures the same serve path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use guillotine::fleet::{GuillotineFleet, RoutingPolicy};
+use guillotine::fleet::GuillotineFleet;
 use guillotine::serve::ServeRequest;
 use guillotine_types::SessionId;
 use std::time::Instant;
@@ -27,15 +27,38 @@ use std::time::Instant;
 const WAVES: usize = 4;
 const WAVE_SIZE: usize = 64;
 
-fn stream() -> Vec<Vec<ServeRequest>> {
+/// One session per wave slot, `WAVE_SIZE / 8` of them homed on each shard of
+/// an 8-shard fleet. The home shard is the session hash modulo the shard
+/// count, so the same sessions split exactly evenly over 2 shards and 1 as
+/// well: sub-batches are even and the launch-count witness below is exact,
+/// one forward launch per shard per wave.
+fn sessions() -> Vec<SessionId> {
+    let widest = fleet(8);
+    let mut room = [WAVE_SIZE / 8; 8];
+    (0..)
+        .map(SessionId::new)
+        .filter(|s| {
+            let home = &mut room[widest.home_shard(*s)];
+            *home > 0 && {
+                *home -= 1;
+                true
+            }
+        })
+        .take(WAVE_SIZE)
+        .collect()
+}
+
+fn stream(sessions: &[SessionId]) -> Vec<Vec<ServeRequest>> {
     (0..WAVES)
         .map(|wave| {
-            (0..WAVE_SIZE)
-                .map(|i| {
+            sessions
+                .iter()
+                .enumerate()
+                .map(|(i, session)| {
                     ServeRequest::new(format!(
                         "Wave {wave}: summarize change {i} in the release notes."
                     ))
-                    .with_session(SessionId::new(i as u32))
+                    .with_session(*session)
                 })
                 .collect()
         })
@@ -43,11 +66,8 @@ fn stream() -> Vec<Vec<ServeRequest>> {
 }
 
 fn fleet(shards: usize) -> GuillotineFleet {
-    // Round-robin keeps sub-batches exactly even, so the launch-count
-    // witness below is exact: one forward launch per shard per wave.
     GuillotineFleet::builder()
         .with_shards(shards)
-        .with_routing(RoutingPolicy::RoundRobin)
         .build()
         .unwrap()
 }
@@ -67,14 +87,20 @@ fn bench(c: &mut Criterion) {
     // Headline: deterministic simulated throughput scaling, 1 vs 2 vs 8
     // shards on the same stream.
     let requests = (WAVES * WAVE_SIZE) as f64;
+    let sessions = sessions();
     let mut throughput = Vec::new();
     let mut wall = Vec::new();
     for shards in [1usize, 2, 8] {
         let mut f = fleet(shards);
-        let (elapsed, mut host) = serve_waves(&mut f, stream());
+        let (elapsed, mut host) = serve_waves(&mut f, stream(&sessions));
         // The amortization witness: every shard launched its forward pass
         // exactly once per wave it participated in.
         for stats in f.stats().shards {
+            assert_eq!(
+                stats.routed,
+                (WAVES * WAVE_SIZE / shards) as u64,
+                "every shard gets its share of every wave"
+            );
             assert_eq!(
                 stats.forward_launches, WAVES as u64,
                 "each shard must launch exactly once per fleet wave"
@@ -83,7 +109,7 @@ fn bench(c: &mut Criterion) {
         throughput.push((shards, requests / elapsed));
         // Host time: best of three fresh fleets on a pre-built stream.
         for _ in 0..2 {
-            host = host.min(serve_waves(&mut fleet(shards), stream()).1);
+            host = host.min(serve_waves(&mut fleet(shards), stream(&sessions)).1);
         }
         wall.push((shards, requests / host, host * 1e3 / WAVES as f64));
     }
@@ -125,7 +151,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("serve_batch", shards), &shards, |b, &n| {
             b.iter(|| {
                 let mut f = fleet(n);
-                serve_waves(&mut f, stream())
+                serve_waves(&mut f, stream(&sessions))
             })
         });
     }

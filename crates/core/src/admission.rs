@@ -69,6 +69,27 @@ impl Default for AdmissionConfig {
     }
 }
 
+/// Something that acts on the door between the steps of an open-loop
+/// play — the chaos harness's fault schedule.
+pub(crate) trait Interposer {
+    /// Acts on `door` as of `now`, the instant it is about to act at.
+    fn interpose(&mut self, door: &mut FrontDoor, now: SimInstant);
+
+    /// When the earliest action still pending is due, if any is.
+    fn pending(&self) -> Option<SimInstant>;
+}
+
+/// [`FrontDoor::play`]'s interposer: nothing rides along.
+struct Uninterposed;
+
+impl Interposer for Uninterposed {
+    fn interpose(&mut self, _: &mut FrontDoor, _: SimInstant) {}
+
+    fn pending(&self) -> Option<SimInstant> {
+        None
+    }
+}
+
 /// One arrival of an open-loop trace: a request, when it reaches the door,
 /// and the completion deadline it carries.
 #[derive(Debug, Clone)]
@@ -528,23 +549,44 @@ impl FrontDoor {
         &mut self,
         trace: Vec<TimedArrival>,
     ) -> Result<(Vec<AdmissionDecision>, Vec<ServeResponse>)> {
+        self.play_interposed(trace, &mut Uninterposed)
+    }
+
+    /// The one open-loop driver: [`FrontDoor::play`] with `interposer`
+    /// given the door before the first submission of every round (at the
+    /// later of now and the arrival), before every `step`, and — for
+    /// whatever it still has pending when the trace ends — before a drain
+    /// of its own ahead of the final one.
+    pub(crate) fn play_interposed(
+        &mut self,
+        trace: Vec<TimedArrival>,
+        interposer: &mut impl Interposer,
+    ) -> Result<(Vec<AdmissionDecision>, Vec<ServeResponse>)> {
         let mut decisions = Vec::with_capacity(trace.len());
         let mut responses = Vec::with_capacity(trace.len());
         let mut pending = trace.into_iter().peekable();
         while let Some(arrival) = pending.next() {
+            let at = self.now().max(arrival.at);
+            interposer.interpose(self, at);
             decisions.push(self.submit_at(arrival.request, arrival.deadline, arrival.at));
             loop {
                 // Everything that has arrived by now joins the queue
                 // before the former runs again.
-                while let Some(arrival) = pending.next_if(|next| next.at <= self.fleet.clock.now())
-                {
+                while let Some(arrival) = pending.next_if(|next| next.at <= self.now()) {
                     decisions.push(self.submit_at(arrival.request, arrival.deadline, arrival.at));
                 }
+                let now = self.now();
+                interposer.interpose(self, now);
                 match self.step()? {
                     Some(batch) => responses.extend(batch),
                     None => break,
                 }
             }
+        }
+        while let Some(at) = interposer.pending() {
+            let at = self.now().max(at);
+            interposer.interpose(self, at);
+            responses.extend(self.drain()?);
         }
         responses.extend(self.drain()?);
         Ok((decisions, responses))

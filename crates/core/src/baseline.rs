@@ -10,21 +10,18 @@
 //! experiments E1–E4 and the escape campaign (E12) can hold the substrate
 //! constant and vary only the architecture.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-use guillotine_hw::{IoDescriptor, Machine, MachineConfig, RunEvent, ThrottleConfig};
+use guillotine_hw::{IoDescriptor, Machine, MachineConfig, RunEvent};
 use guillotine_isa::Program;
 use guillotine_mem::{Domain, PagePermissions};
 use guillotine_types::{MachineId, Result, SimInstant};
 
 /// Configuration of the baseline hypervisor.
 #[derive(Debug, Clone)]
-pub struct BaselineConfig {
+pub(crate) struct BaselineConfig {
     /// The machine id to use.
-    pub machine: MachineId,
+    pub(crate) machine: MachineId,
     /// Instruction budget per guest scheduling quantum.
-    pub quantum_instructions: u64,
+    pub(crate) quantum_instructions: u64,
 }
 
 impl Default for BaselineConfig {
@@ -47,40 +44,34 @@ impl Default for BaselineConfig {
 ///   so IO is fast but unmediated and unaudited,
 /// * interrupts are not throttled (floods reach the hypervisor),
 /// * there is no misbehavior detector and no attested self-identification.
-pub struct TraditionalHypervisor {
+pub(crate) struct TraditionalHypervisor {
     config: BaselineConfig,
     machine: Machine,
-    secret: Vec<u64>,
-    io_served: u64,
 }
 
 impl TraditionalHypervisor {
     /// Creates a baseline hypervisor on a shared-hierarchy machine.
-    pub fn new(config: BaselineConfig) -> Self {
-        let mut machine_config = MachineConfig::traditional(config.machine);
-        machine_config.throttle = ThrottleConfig::unthrottled();
+    pub(crate) fn new(config: BaselineConfig) -> Self {
         TraditionalHypervisor {
-            machine: Machine::new(machine_config),
-            secret: (0..64).map(|i| (i * 37 + 11) % 251).collect(),
-            io_served: 0,
+            machine: Machine::new(MachineConfig::traditional(config.machine)),
             config,
         }
     }
 
     /// The underlying machine.
-    pub fn machine(&self) -> &Machine {
+    pub(crate) fn machine(&self) -> &Machine {
         &self.machine
     }
 
     /// Mutable machine access.
-    pub fn machine_mut(&mut self) -> &mut Machine {
+    pub(crate) fn machine_mut(&mut self) -> &mut Machine {
         &mut self.machine
     }
 
     /// Loads a guest image *without* locking the MMU, and with the guest's
     /// code pages left writable (the common RWX convenience mapping that
     /// traditional stacks tolerate).
-    pub fn install_guest(&mut self, program: &Program, data_region: u64) -> Result<()> {
+    pub(crate) fn install_guest(&mut self, program: &Program, data_region: u64) -> Result<()> {
         self.machine
             .load_model_program(program, data_region, false)?;
         // Re-map the code pages writable as well as executable: traditional
@@ -101,7 +92,7 @@ impl TraditionalHypervisor {
     }
 
     /// Runs the guest for one quantum.
-    pub fn run_quantum(&mut self, core_idx: usize, now: SimInstant) -> Result<RunEvent> {
+    pub(crate) fn run_quantum(&mut self, core_idx: usize, now: SimInstant) -> Result<RunEvent> {
         self.machine
             .run_model_core(core_idx, self.config.quantum_instructions, now)
     }
@@ -109,14 +100,8 @@ impl TraditionalHypervisor {
     /// Direct (SR-IOV-style) device access: the guest's request is handled
     /// immediately with no hypervisor interposition, no capability check and
     /// no audit record. Returns the echoed payload.
-    pub fn direct_io(&mut self, request: &IoDescriptor) -> Vec<u8> {
-        self.io_served += 1;
+    pub(crate) fn direct_io(&self, request: &IoDescriptor) -> Vec<u8> {
         request.payload.clone()
-    }
-
-    /// Number of direct IO requests served.
-    pub fn io_served(&self) -> u64 {
-        self.io_served
     }
 
     /// Simulates the hypervisor performing secret-dependent work on the
@@ -124,7 +109,7 @@ impl TraditionalHypervisor {
     ///
     /// On a shared-hierarchy machine these accesses evict guest-primed lines,
     /// which is what a prime+probe attacker measures (experiment E1).
-    pub fn hypervisor_secret_work(&mut self, secret: u64) {
+    pub(crate) fn hypervisor_secret_work(&mut self, secret: u64) {
         for bit in 0..64u64 {
             if secret & (1 << bit) != 0 {
                 // One distinct L1 set per bit: stride of one line (64 B) per
@@ -136,11 +121,6 @@ impl TraditionalHypervisor {
                     .probe(addr, Domain::Hypervisor);
             }
         }
-    }
-
-    /// The baseline's built-in demo secret (used by E1).
-    pub fn demo_secret(&self) -> &[u64] {
-        &self.secret
     }
 }
 
@@ -185,11 +165,10 @@ mod tests {
 
     #[test]
     fn direct_io_bypasses_any_mediation() {
-        let mut hv = TraditionalHypervisor::new(BaselineConfig::default());
+        let hv = TraditionalHypervisor::new(BaselineConfig::default());
         let req = IoDescriptor::request(PortId::new(0), IoOpcode::Send, 1, b"raw".to_vec());
         let resp = hv.direct_io(&req);
         assert_eq!(resp, b"raw");
-        assert_eq!(hv.io_served(), 1);
         // No audit events were generated for the IO.
         assert_eq!(
             hv.machine().events().count_matching(|e| matches!(

@@ -7,10 +7,10 @@
 //! a traditional stack are blocked by construction, by detection or by
 //! physical fail-safe on Guillotine.
 
+use crate::baseline::{BaselineConfig, TraditionalHypervisor};
 use crate::deployment::{DeploymentConfig, GuillotineDeployment};
 use crate::report::Table;
 use crate::serve::ServeRequest;
-use guillotine_baseline::{BaselineConfig, TraditionalHypervisor};
 use guillotine_hw::{IoOpcode, RunEvent};
 use guillotine_isa::asm::assemble_at;
 use guillotine_model::{AttackFamily, AttackVector, RogueLibrary};

@@ -22,7 +22,7 @@
 //! | `SnapshotCorruption` | latest journal snapshot corrupted at rest; recovery must detect it by checksum |
 //! | `TornWrite` | WAL tail torn mid-append; recovery truncates at the first bad checksum |
 
-use crate::admission::{FrontDoor, TimedArrival};
+use crate::admission::{FrontDoor, Interposer, TimedArrival};
 use crate::deployment::{CONSOLE_NODE, MACHINE_NODE};
 use crate::fleet::GuillotineFleet;
 use crate::serve::ServeResponse;
@@ -40,6 +40,12 @@ pub use guillotine_chaos::{
 /// records what broke and what the fleet did about it.
 pub struct ChaosDoor {
     door: FrontDoor,
+    faults: Faults,
+}
+
+/// The fault schedule and the record of what it did: the interposer of a
+/// [`ChaosDoor`]'s plays.
+struct Faults {
     injector: FaultInjector,
     trace: ChaosTrace,
 }
@@ -66,8 +72,10 @@ impl ChaosDoor {
         }
         ChaosDoor {
             door,
-            injector: FaultInjector::new(plan),
-            trace: ChaosTrace::new(),
+            faults: Faults {
+                injector: FaultInjector::new(plan),
+                trace: ChaosTrace::new(),
+            },
         }
     }
 
@@ -83,17 +91,17 @@ impl ChaosDoor {
 
     /// The injection trace so far.
     pub fn trace(&self) -> &ChaosTrace {
-        &self.trace
+        &self.faults.trace
     }
 
     /// Faults not yet fired.
     pub fn remaining_faults(&self) -> usize {
-        self.injector.remaining()
+        self.faults.injector.remaining()
     }
 
     /// Tears the harness down into the door and the trace.
     pub fn into_parts(self) -> (FrontDoor, ChaosTrace) {
-        (self.door, self.trace)
+        (self.door, self.faults.trace)
     }
 
     /// Plays an open-loop arrival trace exactly like [`FrontDoor::play`],
@@ -104,64 +112,44 @@ impl ChaosDoor {
         &mut self,
         trace: Vec<TimedArrival>,
     ) -> Result<(Vec<AdmissionDecision>, Vec<ServeResponse>)> {
-        let mut decisions = Vec::with_capacity(trace.len());
-        let mut responses = Vec::new();
-        let mut pending = trace.into_iter().peekable();
-        while let Some(arrival) = pending.next() {
-            self.inject_due(self.door.now().max(arrival.at));
-            decisions.push(
-                self.door
-                    .submit_at(arrival.request, arrival.deadline, arrival.at),
-            );
-            loop {
-                while let Some(arrival) = pending.next_if(|next| next.at <= self.door.now()) {
-                    decisions.push(self.door.submit_at(
-                        arrival.request,
-                        arrival.deadline,
-                        arrival.at,
-                    ));
-                }
-                self.inject_due(self.door.now());
-                match self.door.step()? {
-                    Some(batch) => responses.extend(batch),
-                    None => break,
-                }
-            }
-        }
-        // Whatever the schedule still holds fires before the drain, so a
-        // plan is always fully executed by the end of a play.
-        while let Some(at) = self.injector.next_at() {
-            self.inject_due(self.door.now().max(at));
-            responses.extend(self.door.drain()?);
-        }
-        responses.extend(self.door.drain()?);
-        Ok((decisions, responses))
+        self.door.play_interposed(trace, &mut self.faults)
     }
 
     /// Fires every fault due at or before `now` and records the trace.
     pub fn inject_due(&mut self, now: SimInstant) {
+        self.faults.interpose(&mut self.door, now);
+    }
+}
+
+impl Interposer for Faults {
+    fn interpose(&mut self, door: &mut FrontDoor, now: SimInstant) {
         for event in self.injector.due(now) {
             // The flight recorder learns of the fault *before* the door
             // reacts to it, so the recovery actions it provokes (retries,
             // hedges, re-queues) attribute their delayed tickets to it.
-            if self.door.fleet().telemetry().is_enabled() {
+            if door.fleet().telemetry().is_enabled() {
                 let kind = event.kind.to_string();
-                self.door
-                    .fleet_mut()
+                door.fleet_mut()
                     .telemetry_mut()
                     .recorder_mut()
                     .note_fault(event.at, &kind);
             }
-            let consequence = self.apply_fault(&event);
+            let consequence = ChaosDoor::apply_fault(door, &event);
             self.trace
                 .record(event.at, event.kind.to_string(), consequence);
         }
     }
 
+    fn pending(&self) -> Option<SimInstant> {
+        self.injector.next_at()
+    }
+}
+
+impl ChaosDoor {
     /// Interprets one fault against the fleet; returns the observed
     /// consequence for the trace.
-    fn apply_fault(&mut self, event: &FaultEvent) -> String {
-        let fleet: &mut GuillotineFleet = self.door.fleet_mut();
+    fn apply_fault(door: &mut FrontDoor, event: &FaultEvent) -> String {
+        let fleet: &mut GuillotineFleet = door.fleet_mut();
         let count = fleet.shard_count();
         if count == 0 {
             return "no shards; fault ignored".to_string();
@@ -297,9 +285,9 @@ impl ChaosDoor {
                 // Pre-armed in `new`; a serving window may already have
                 // consumed it mid-batch. Fire anything still due, then
                 // report what the recovery actually did.
-                self.door.fire_due_control_crash();
-                match self.door.last_control_recovery() {
-                    Some(recovery) if self.door.journal_store().is_some() => format!(
+                door.fire_due_control_crash();
+                match door.last_control_recovery() {
+                    Some(recovery) if door.journal_store().is_some() => format!(
                         "control plane crashed; journal recovery replayed {} WAL record(s), \
                          re-queued {}, truncated {} torn line(s), skipped {} corrupt \
                          snapshot(s), downtime {}",
@@ -319,7 +307,7 @@ impl ChaosDoor {
                 }
             }
             FaultKind::SnapshotCorruption => {
-                if self.door.corrupt_latest_snapshot() {
+                if door.corrupt_latest_snapshot() {
                     "latest snapshot corrupted at rest; recovery must detect it by checksum \
                      and fall back"
                         .to_string()
@@ -328,7 +316,7 @@ impl ChaosDoor {
                 }
             }
             FaultKind::TornWrite => {
-                if self.door.tear_wal() {
+                if door.tear_wal() {
                     "WAL tail torn mid-append; recovery truncates at the first bad checksum"
                         .to_string()
                 } else {

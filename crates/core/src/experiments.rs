@@ -6,9 +6,9 @@
 //! `guillotine-bench` call these functions; the integration tests assert the
 //! qualitative direction of each result.
 
+use crate::baseline::{BaselineConfig, TraditionalHypervisor};
 use crate::deployment::{DeploymentConfig, GuillotineDeployment};
 use crate::report::Table;
-use guillotine_baseline::{BaselineConfig, TraditionalHypervisor};
 use guillotine_detect::{CompositeDetector, Detector, ModelObservation};
 use guillotine_hv::{EchoDevice, PortKind};
 use guillotine_hw::{IoDescriptor, IoOpcode, Machine, MachineConfig, RunEvent};
@@ -304,7 +304,7 @@ pub fn e3_port_io(payload_bytes: usize, requests: u64) -> Result<PortIoResult> {
     let _ = served;
 
     // Baseline direct path.
-    let mut baseline = TraditionalHypervisor::new(BaselineConfig::default());
+    let baseline = TraditionalHypervisor::new(BaselineConfig::default());
     let start = Instant::now();
     for i in 0..requests {
         let desc = IoDescriptor::request(PortId::new(0), IoOpcode::Send, i, payload.clone());

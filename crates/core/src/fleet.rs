@@ -4,8 +4,9 @@
 //! Guillotine machines, each independently severable. [`GuillotineFleet`]
 //! scales the batched front door across N [`GuillotineDeployment`] shards —
 //! each with its own machine id, control-console registration and detector
-//! stack — and routes [`ServeRequest`]s to shards by session affinity (or
-//! round-robin, via [`RoutingPolicy`]).
+//! stack — and routes [`ServeRequest`]s to shards by session affinity: a
+//! stable hash of the [`SessionId`] picks the home shard, so a session
+//! always lands on the same shard (KV-cache locality).
 //!
 //! # Quarantine semantics
 //!
@@ -95,25 +96,11 @@ use guillotine_types::{
 };
 use std::sync::Arc;
 
-/// How the fleet picks a shard for each request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RoutingPolicy {
-    /// Stable hash of the [`SessionId`] → shard. A session always lands on
-    /// the same shard (KV-cache locality), re-routing deterministically to
-    /// the next healthy shard while its home shard is quarantined.
-    #[default]
-    SessionAffinity,
-    /// Healthy shards in rotation, ignoring sessions.
-    RoundRobin,
-}
-
 /// Configuration of a [`GuillotineFleet`].
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of shards (deployments) in the fleet.
     pub shards: usize,
-    /// Shard-selection policy.
-    pub routing: RoutingPolicy,
     /// Base deployment configuration. Shard `i` runs machine
     /// `base.machine + i` with seed `base.seed ^ i`; everything else is
     /// shared.
@@ -124,7 +111,6 @@ impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             shards: 2,
-            routing: RoutingPolicy::SessionAffinity,
             base: DeploymentConfig::default(),
         }
     }
@@ -674,12 +660,6 @@ impl FleetBuilder {
         self
     }
 
-    /// Sets the routing policy.
-    pub fn with_routing(mut self, routing: RoutingPolicy) -> Self {
-        self.config.routing = routing;
-        self
-    }
-
     /// Attaches one KV/prefix cache tier of the given sizing, shared by
     /// every shard: a session re-homed off a quarantined shard keeps its
     /// cache locality on its new shard.
@@ -715,9 +695,7 @@ impl FleetBuilder {
 /// See the [module docs](self) for routing and quarantine semantics.
 pub struct GuillotineFleet {
     shards: Vec<Shard>,
-    routing: RoutingPolicy,
     datacenter: Datacenter,
-    round_robin: u64,
     requeued: u64,
     kv: Option<Arc<KvTier>>,
     invalidate_kv_on_quarantine: bool,
@@ -800,9 +778,7 @@ impl GuillotineFleet {
         }
         Ok(GuillotineFleet {
             shards,
-            routing: config.routing,
             datacenter,
-            round_robin: 0,
             requeued: 0,
             kv,
             invalidate_kv_on_quarantine,
@@ -932,11 +908,6 @@ impl GuillotineFleet {
     /// Number of shards in the fleet.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The fleet's routing policy.
-    pub fn routing(&self) -> RoutingPolicy {
-        self.routing
     }
 
     /// The fleet-level datacenter hosting every shard machine. Its plant
@@ -1172,9 +1143,6 @@ impl GuillotineFleet {
     /// The shard a session's traffic is currently routed to: its stable home
     /// shard, or — while the home shard is quarantined — the next healthy
     /// shard in deterministic probe order.
-    ///
-    /// Only meaningful under [`RoutingPolicy::SessionAffinity`]; round-robin
-    /// fleets route by rotation, not identity.
     pub fn shard_for_session(&self, session: SessionId) -> usize {
         self.affinity_route(session).1
     }
@@ -1209,27 +1177,11 @@ impl GuillotineFleet {
     /// shard (the case whose KV fate `FleetStats::rehomed_kv_hits` /
     /// `rehomed_kv_misses` witness).
     fn route(&mut self, request: &ServeRequest) -> (usize, bool) {
-        match self.routing {
-            RoutingPolicy::SessionAffinity => {
-                let (home, chosen) = self.affinity_route(request.session);
-                if chosen != home {
-                    self.requeued += 1;
-                }
-                (chosen, chosen != home)
-            }
-            RoutingPolicy::RoundRobin => {
-                let n = self.shards.len();
-                for _ in 0..n {
-                    let candidate = (self.round_robin % n as u64) as usize;
-                    self.round_robin += 1;
-                    if self.shards[candidate].takes_traffic() {
-                        return (candidate, false);
-                    }
-                }
-                // All quarantined: fail closed on shard 0's admission check.
-                (0, false)
-            }
+        let (home, chosen) = self.affinity_route(request.session);
+        if chosen != home {
+            self.requeued += 1;
         }
+        (chosen, chosen != home)
     }
 
     /// Routes every request — or, for a hedge, pins the whole batch to one
@@ -1741,6 +1693,23 @@ mod tests {
         ServeRequest::new(format!("Summarize item {i}.")).with_session(SessionId::new(i))
     }
 
+    /// `count` benign requests dealt round-robin over the fleet's shards:
+    /// request `i` carries a session of its own homed on shard `i % n`.
+    fn dealt(fleet: &GuillotineFleet, count: usize) -> Vec<ServeRequest> {
+        let n = fleet.shard_count();
+        let mut unused = vec![0u32; n];
+        (0..count)
+            .map(|i| {
+                let shard = i % n;
+                let raw = (unused[shard]..)
+                    .find(|&raw| fleet.home_shard(SessionId::new(raw)) == shard)
+                    .unwrap();
+                unused[shard] = raw + 1;
+                benign(raw)
+            })
+            .collect()
+    }
+
     #[test]
     fn fleet_builds_one_machine_per_shard() {
         let fleet = GuillotineFleet::builder().with_shards(3).build().unwrap();
@@ -1778,12 +1747,9 @@ mod tests {
 
     #[test]
     fn round_robin_spreads_requests_evenly() {
-        let mut fleet = GuillotineFleet::builder()
-            .with_shards(4)
-            .with_routing(RoutingPolicy::RoundRobin)
-            .build()
-            .unwrap();
-        let responses = fleet.serve_batch((0..8).map(benign).collect()).unwrap();
+        let mut fleet = GuillotineFleet::builder().with_shards(4).build().unwrap();
+        let batch = dealt(&fleet, 8);
+        let responses = fleet.serve_batch(batch).unwrap();
         assert_eq!(responses.len(), 8);
         let stats = fleet.stats();
         assert!(stats.shards.iter().all(|s| s.routed == 2));
@@ -1791,12 +1757,9 @@ mod tests {
 
     #[test]
     fn fleet_clock_advances_by_the_slowest_shard() {
-        let mut fleet = GuillotineFleet::builder()
-            .with_shards(2)
-            .with_routing(RoutingPolicy::RoundRobin)
-            .build()
-            .unwrap();
-        fleet.serve_batch((0..4).map(benign).collect()).unwrap();
+        let mut fleet = GuillotineFleet::builder().with_shards(2).build().unwrap();
+        let batch = dealt(&fleet, 4);
+        fleet.serve_batch(batch).unwrap();
         let fleet_elapsed = fleet.stats().elapsed;
         let shard_max = (0..2)
             .map(|i| fleet.shard(i).clock.now().as_nanos())
@@ -1955,16 +1918,10 @@ mod tests {
 
     #[test]
     fn every_live_shard_launches_before_the_first_collects() {
-        let build = || {
-            GuillotineFleet::builder()
-                .with_shards(8)
-                .with_routing(RoutingPolicy::RoundRobin)
-                .build()
-                .unwrap()
-        };
+        let build = || GuillotineFleet::builder().with_shards(8).build().unwrap();
         // Eight live sub-batches: all eight sweeps were pending at once,
         // i.e. every shard had begun before any finished.
-        let eight: Vec<ServeRequest> = (0..16).map(benign).collect();
+        let eight = dealt(&build(), 16);
         for helpers in [0, 3] {
             let (served, pool) = serve_on_pool(&build, helpers, std::slice::from_ref(&eight));
             assert_eq!(served.stats.forward_launches(), 8);
@@ -1986,11 +1943,7 @@ mod tests {
         // collected all the same, or the next batch's lone sweep would find
         // a ghost pending and ask for a helper.
         let pool = Arc::new(SweepPool::with_helpers(0));
-        let mut fleet = GuillotineFleet::builder()
-            .with_shards(2)
-            .with_routing(RoutingPolicy::RoundRobin)
-            .build()
-            .unwrap();
+        let mut fleet = GuillotineFleet::builder().with_shards(2).build().unwrap();
         fleet.use_sweep_pool(&pool);
         fleet.schedule_crash(
             0,
@@ -1999,7 +1952,7 @@ mod tests {
                 .now()
                 .saturating_add(SimDuration::from_micros(1)),
         );
-        let batch: Vec<ServeRequest> = (0..4).map(benign).collect();
+        let batch = dealt(&fleet, 4);
         let attempt = fleet.serve_batch_attempt(&batch);
         assert_eq!(attempt.failed, vec![0, 2]);
         let after_crash = pool.stats();

@@ -33,11 +33,11 @@
 //!   trade-offs).
 //! * [`fleet`] — [`fleet::GuillotineFleet`] shards the batched front door
 //!   across N deployments, each its own machine with its own console
-//!   registration and detector stack. Requests route by session affinity
-//!   (or round-robin); escalation containment is per-shard:
-//!   a shard whose detectors sever its ports finishes its in-flight
-//!   requests `Escalated`, is quarantined, and its sessions re-route to
-//!   healthy shards on the next fleet batch. `FleetStats` / `FleetReport`
+//!   registration and detector stack. Requests route by session
+//!   affinity; escalation containment is per-shard: a shard whose
+//!   detectors sever its ports finishes its in-flight requests
+//!   `Escalated`, is quarantined, and its sessions re-route to healthy
+//!   shards on the next fleet batch. `FleetStats` / `FleetReport`
 //!   aggregate per-shard isolation levels, forward-launch counts and
 //!   outcome histograms (E14 measures the throughput scaling).
 //! * [`experiments`] — one function per experiment (E1–E11), each returning a
@@ -87,6 +87,7 @@
 #![warn(missing_docs)]
 
 pub mod admission;
+mod baseline;
 pub mod builder;
 pub mod campaign;
 pub mod chaos;
@@ -106,7 +107,7 @@ pub use chaos::ChaosDoor;
 pub use deployment::{DeploymentConfig, GuillotineDeployment};
 pub use fleet::{
     BatchAttempt, FleetBuilder, FleetConfig, FleetReport, FleetStats, GuillotineFleet,
-    OutcomeHistogram, RecoveryStats, RoutingPolicy, ShardStats, StageLatency,
+    OutcomeHistogram, RecoveryStats, ShardStats, StageLatency,
 };
 pub use fleet_quorum::{BulkReport, FleetConsole};
 pub use recovery::{DegradationMode, RecoveryConfig};

@@ -2,7 +2,6 @@
 
 use crate::streaming::ScreenedResponse;
 use guillotine_types::ModelId;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// One step of a (simulated) forward pass: which region of the weight graph
@@ -13,7 +12,7 @@ use std::borrow::Cow;
 /// (region, magnitude) pairs, which preserves the property both techniques
 /// rely on: dangerous behaviour correlates with visits to identifiable
 /// regions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActivationStep {
     /// Identifier of the weight-graph region visited.
     pub region: u32,
@@ -22,7 +21,7 @@ pub struct ActivationStep {
 }
 
 /// The full activation trace of one inference.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ActivationTrace {
     /// Visited steps in order.
     pub steps: Vec<ActivationStep>,
@@ -55,7 +54,7 @@ impl ActivationTrace {
 }
 
 /// System-level counters the hypervisor derives from its own bookkeeping.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SystemStats {
     /// Interrupts per second raised by the model's cores.
     pub interrupt_rate: f64,
@@ -74,7 +73,7 @@ pub struct SystemStats {
 /// Prompt and response text is borrowed from whoever holds it: the
 /// hypervisor screens every prompt and every response, and an observation
 /// only lives for the `inspect` call it is handed to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ModelObservation<'a> {
     /// An inbound prompt (or other request payload) delivered to the model.
     Prompt {

@@ -9,11 +9,10 @@
 
 use crate::observation::{ActivationStep, ActivationTrace, ModelObservation};
 use crate::verdict::{Detector, RecommendedAction, Verdict};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The activation-steering detector/mitigator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ActivationSteering {
     /// Regions considered dangerous, with per-region activation budgets.
     dangerous_regions: BTreeMap<u32, f64>,

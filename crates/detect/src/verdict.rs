@@ -1,7 +1,6 @@
 //! Detector verdicts and the detector trait.
 
 use crate::observation::ModelObservation;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// The mitigation a detector recommends to the physical hypervisor.
@@ -9,7 +8,7 @@ use std::borrow::Cow;
 /// The variants intentionally mirror (but do not depend on) the isolation
 /// levels of `guillotine-physical`; the software hypervisor maps them onto
 /// concrete level transitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RecommendedAction {
     /// Nothing to do.
     Allow,
@@ -31,7 +30,7 @@ pub enum RecommendedAction {
 /// unflagged verdict are literals, so the overwhelmingly common clean
 /// verdict owns no heap memory (and cloning one copies no text). Only a
 /// flagged verdict's reason is formatted, when something is flagged.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Verdict {
     /// The detector that produced this verdict.
     pub detector: Cow<'static, str>,

@@ -8,10 +8,9 @@
 //! hypervisor forcibly reboots into offline isolation mode."
 
 use guillotine_types::{GuillotineError, SimInstant};
-use serde::{Deserialize, Serialize};
 
 /// What the monitor decided after evaluating an assertion.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AssertionOutcome {
     /// The invariant held.
     Held,
@@ -24,7 +23,7 @@ pub enum AssertionOutcome {
 }
 
 /// One recorded assertion failure.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AssertionFailure {
     /// When the failure happened.
     pub at: SimInstant,
@@ -33,7 +32,7 @@ pub struct AssertionFailure {
 }
 
 /// Tracks runtime assertions evaluated by the hypervisor.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AssertionMonitor {
     evaluated: u64,
     failures: Vec<AssertionFailure>,

@@ -8,11 +8,10 @@
 //! assignment so the hypervisor can synchronously monitor every interaction.
 
 use guillotine_types::{DeviceId, GuillotineError, ModelId, PortId, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The device classes a port can front.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortKind {
     /// A network interface (reaches the outside world through the gateway).
     Network,
@@ -27,7 +26,7 @@ pub enum PortKind {
 }
 
 /// Per-port restrictions, tightened by the probation isolation level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PortRestrictions {
     /// Whether the port may be used at all.
     pub enabled: bool,
@@ -65,7 +64,7 @@ impl PortRestrictions {
 }
 
 /// One granted port capability.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PortCapability {
     /// The capability's identifier (what the model names in descriptors).
     pub id: PortId,
@@ -84,7 +83,7 @@ pub struct PortCapability {
 }
 
 /// The hypervisor's table of granted ports.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PortRegistry {
     ports: BTreeMap<PortId, PortCapability>,
     next_id: u32,

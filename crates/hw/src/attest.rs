@@ -13,10 +13,8 @@
 //! what gets measured, what a quote contains, what verification checks — is
 //! faithful to the paper's intent.
 
-use serde::{Deserialize, Serialize};
-
 /// A 64-bit measurement digest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Measurement(pub u64);
 
 impl Measurement {
@@ -47,7 +45,7 @@ fn mix_bytes(mut state: u64, data: &[u8]) -> u64 {
 }
 
 /// A signed attestation quote describing the platform state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttestationQuote {
     /// Measurement of the silicon (core counts, bus wiring, throttle config).
     pub silicon: Measurement,
@@ -62,7 +60,7 @@ pub struct AttestationQuote {
 }
 
 /// The attestation module fused into Guillotine silicon.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AttestationModule {
     device_key: u64,
     silicon: Measurement,

@@ -9,10 +9,9 @@
 
 use crate::interrupt::{InterruptController, ThrottleConfig};
 use guillotine_types::CoreId;
-use serde::{Deserialize, Serialize};
 
 /// One hypervisor core.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HypervisorCore {
     id: CoreId,
     interrupts: InterruptController,

@@ -15,10 +15,9 @@ use guillotine_types::{
     AuditSeverity, CoreId, EventKind, EventLog, GuillotineError, MachineId, Result, SimInstant,
     WatchpointId,
 };
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of one machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MachineConfig {
     /// The machine's identity within the datacenter.
     pub id: MachineId,
@@ -69,7 +68,8 @@ impl MachineConfig {
     }
 
     /// A traditional-hypervisor configuration: shared hierarchy, no
-    /// interrupt throttling. Used by the `guillotine-baseline` crate.
+    /// interrupt throttling. Used by the `guillotine` crate's baseline
+    /// hypervisor.
     pub fn traditional(id: MachineId) -> Self {
         MachineConfig {
             id,
@@ -94,7 +94,7 @@ impl MachineConfig {
 }
 
 /// What happened when the machine ran a model core for one quantum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RunEvent {
     /// The core used its whole instruction budget and is still runnable.
     Running,
@@ -120,7 +120,7 @@ pub enum RunEvent {
 }
 
 /// A full Guillotine machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Machine {
     config: MachineConfig,
     model_cores: Vec<ModelCore>,

@@ -3,11 +3,10 @@
 use crate::watchpoint::Watchpoint;
 use guillotine_isa::CpuState;
 use guillotine_types::{CoreId, WatchpointId};
-use serde::{Deserialize, Serialize};
 
 /// Power and run state of a model core, as controlled over the management
 /// bus (§3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorePowerState {
     /// The core is powered and free-running (subject to the run budget the
     /// hypervisor grants per scheduling quantum).
@@ -27,7 +26,7 @@ pub enum CorePowerState {
 /// machine share the model-domain memory system, and the wiring lives in
 /// [`crate::machine::Machine`] so the hypervisor's private bus can reach the
 /// same DRAM.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelCore {
     id: CoreId,
     cpu: CpuState,

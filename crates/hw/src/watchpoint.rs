@@ -6,10 +6,9 @@
 //! when the model tries to be sneaky about how it touches an address.
 
 use guillotine_types::WatchpointId;
-use serde::{Deserialize, Serialize};
 
 /// What kind of accesses a watchpoint fires on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WatchpointKind {
     /// Fire on data reads.
     Read,
@@ -22,7 +21,7 @@ pub enum WatchpointKind {
 }
 
 /// A single hardware watchpoint over a byte range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Watchpoint {
     /// Identifier assigned by the machine.
     pub id: WatchpointId,

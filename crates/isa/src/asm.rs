@@ -18,12 +18,11 @@
 
 use crate::inst::{Instruction, Opcode, Reg};
 use crate::program::Program;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// An assembly-time error, with the 1-based source line where it occurred.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsmError {
     /// 1-based line number in the source text.
     pub line: usize,

@@ -12,11 +12,10 @@
 //! ¹ Branch/jump immediates are signed counts of 4-byte instruction slots,
 //! relative to the address of the *next* instruction.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A general-purpose register (`x0`–`x31`); `x0` is hard-wired to zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reg(pub u8);
 
 impl Reg {
@@ -63,7 +62,7 @@ pub mod csr {
 }
 
 /// Operation codes for every GISA instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 #[allow(missing_docs)]
 pub enum Opcode {
@@ -216,7 +215,7 @@ impl Opcode {
 ///
 /// The variants group instructions by format; the semantics live in
 /// [`crate::cpu::CpuState::step`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instruction {
     /// Register-register ALU operation: `rd = rs1 <op> rs2`.
     Alu {

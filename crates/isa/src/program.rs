@@ -1,6 +1,5 @@
 //! Loadable program images produced by the assembler.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// An assembled guest program: a flat byte image plus its symbol table.
@@ -9,7 +8,7 @@ use std::collections::HashMap;
 /// addresses computed from the base passed to
 /// [`assemble_at`](crate::asm::assemble_at), so the loader must place the
 /// image at [`Program::base`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Program {
     base: u64,
     image: Vec<u8>,

@@ -1,7 +1,6 @@
 //! Flat DRAM storage with a fixed access latency.
 
 use guillotine_types::{GuillotineError, Result};
-use serde::{Deserialize, Serialize};
 
 /// A byte-addressable DRAM module.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// model DRAM, hypervisor DRAM and the shared IO DRAM region (§3.2). The
 /// module itself knows nothing about who is allowed to touch it; physical
 /// reachability is enforced by the bus wiring in `guillotine-hw`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dram {
     /// The module's contents up to the highest byte ever written; the rest,
     /// up to `size`, has never been written and reads as zero. Nothing is

@@ -4,10 +4,9 @@ use crate::cache::Domain;
 use crate::hierarchy::{Hierarchy, HierarchyConfig, HierarchyStats};
 use crate::mmu::{Access, Mmu, MmuStats, PagePermissions, PAGE_SIZE};
 use guillotine_types::Result;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for a [`MemorySystem`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MemorySystemConfig {
     /// DRAM size in bytes.
     pub dram_size: usize,
@@ -30,7 +29,7 @@ impl Default for MemorySystemConfig {
 /// The memory system attached to one core (or shared by several cores of the
 /// same domain): virtual addresses go through the [`Mmu`], then through the
 /// cache [`Hierarchy`], then to DRAM.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemorySystem {
     mmu: Mmu,
     hierarchy: Hierarchy,

@@ -7,11 +7,10 @@
 //! in-person audits (§3.5) have something concrete to inspect.
 
 use guillotine_types::{GuillotineError, MachineId, Result, SimInstant};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The operational status of the datacenter (or one of its zones).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatacenterStatus {
     /// Everything nominal.
     Operational,
@@ -36,7 +35,7 @@ impl DatacenterStatus {
 }
 
 /// Per-machine physical plant records.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachinePlant {
     /// Number of network cables to the machine.
     pub network_cables: u32,
@@ -60,7 +59,7 @@ impl Default for MachinePlant {
 }
 
 /// The physical datacenter hosting a Guillotine deployment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Datacenter {
     name: String,
     status: DatacenterStatus,

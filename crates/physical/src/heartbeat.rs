@@ -5,11 +5,10 @@
 //! (or vice versa), Guillotine transitions to offline isolation." (§3.4)
 
 use guillotine_types::{MachineId, SimDuration, SimInstant};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Heartbeat timing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeartbeatConfig {
     /// How often heartbeats are sent.
     pub period: SimDuration,
@@ -37,7 +36,7 @@ impl HeartbeatConfig {
 /// Tracks heartbeat liveness for a set of peers (one monitor instance lives
 /// in the console watching machines, and one lives in each machine's software
 /// hypervisor watching the console).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HeartbeatMonitor {
     config: HeartbeatConfig,
     last_seen: BTreeMap<MachineId, SimInstant>,

@@ -11,7 +11,6 @@
 
 use crate::isolation::IsolationLevel;
 use guillotine_types::{AdminId, GuillotineError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Number of administrator seats on a Guillotine control console.
 pub const ADMIN_SEATS: usize = 7;
@@ -21,7 +20,7 @@ pub const RELAX_THRESHOLD: u32 = 5;
 pub const RESTRICT_THRESHOLD: u32 = 3;
 
 /// One human administrator seat.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Administrator {
     /// Seat identifier.
     pub id: AdminId,
@@ -56,7 +55,7 @@ impl Administrator {
 }
 
 /// What a vote asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VoteKind {
     /// Approve the transition.
     Approve,
@@ -67,7 +66,7 @@ pub enum VoteKind {
 }
 
 /// One administrator's signed vote on a ballot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Vote {
     /// Which seat voted.
     pub admin: AdminId,
@@ -78,7 +77,7 @@ pub struct Vote {
 }
 
 /// The full set of administrator seats.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdminSet {
     admins: Vec<Administrator>,
 }
@@ -128,7 +127,7 @@ impl AdminSet {
 }
 
 /// A proposed isolation transition awaiting quorum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ballot {
     /// Current level.
     pub from: IsolationLevel,
@@ -150,7 +149,7 @@ impl Ballot {
 }
 
 /// The hardware security module enforcing multi-admin quorum authentication.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QuorumHsm {
     admins: AdminSet,
     ballots_decided: u64,

@@ -6,10 +6,9 @@
 //! environment (tamper enclosures, decapitation/immolation mechanisms).
 
 use guillotine_types::{ModelId, SimDuration, SimInstant};
-use serde::{Deserialize, Serialize};
 
 /// The kinds of audit the regulations mandate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AuditKind {
     /// Inspection of model source/targeting of the Guillotine guest API.
     SourceCode,
@@ -31,7 +30,7 @@ impl AuditKind {
 }
 
 /// One completed audit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditRecord {
     /// The model/deployment audited.
     pub model: ModelId,
@@ -46,7 +45,7 @@ pub struct AuditRecord {
 }
 
 /// Tracks audit history and due dates per model.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AuditScheduler {
     records: Vec<AuditRecord>,
 }

@@ -6,10 +6,9 @@
 //! presumed to pose systemic risk. The classifier here follows that shape.
 
 use crate::card::{AutonomyLevel, ModelCard};
-use serde::{Deserialize, Serialize};
 
 /// The regulatory risk tier of a model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RiskTier {
     /// Minimal risk: no obligations beyond transparency.
     Minimal,
@@ -22,7 +21,7 @@ pub enum RiskTier {
 }
 
 /// Thresholds used by the classifier.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RiskClassifier {
     /// Training-compute threshold above which systemic risk is presumed.
     pub systemic_flops: f64,

@@ -7,19 +7,14 @@
 //! (single-digit nanoseconds) and coarse enough to express multi-hour
 //! physical-hypervisor procedures (e.g. datacenter immolation).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A point in simulated time, in nanoseconds since simulation start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimInstant(u64);
 
 /// A span of simulated time, in nanoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimInstant {
@@ -187,7 +182,7 @@ impl fmt::Display for SimDuration {
 /// clock.advance(SimDuration::from_micros(3));
 /// assert_eq!(clock.now().as_nanos(), 3_000);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimClock {
     now: SimInstant,
 }

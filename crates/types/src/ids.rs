@@ -7,14 +7,13 @@
 //! caught by [`CoreKind`] checks at the hardware layer, and handing a port id
 //! where an admin id is expected is caught by the type system).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! define_id {
     ($(#[$meta:meta])* $name:ident, $prefix:literal) => {
         $(#[$meta])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
         )]
         pub struct $name(pub u32);
 
@@ -116,7 +115,7 @@ define_id!(
 /// The paper (§3.2) requires that hypervisor code runs only on hypervisor
 /// cores and, post-initialization, model cores run only model code; the two
 /// classes have physically disjoint memory hierarchies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoreKind {
     /// A core that runs the Guillotine software-level hypervisor.
     Hypervisor,

@@ -1,11 +1,10 @@
 //! Lightweight metrics containers used by experiments and benchmarks.
 
 use crate::encode::push_decimal;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write;
 
 /// A simple monotonically increasing counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -34,7 +33,7 @@ impl Counter {
 ///
 /// Unlike a [`Counter`], a gauge goes both up and down (queue depth,
 /// in-flight requests) while remembering the highest level it ever reached.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Gauge {
     current: u64,
     max: u64,
@@ -79,7 +78,7 @@ impl Gauge {
 /// Suited to latency measurements spanning several orders of magnitude
 /// (nanoseconds to seconds). The 64 buckets are held inline, so creating,
 /// cloning or recording into a histogram never touches the allocator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// `buckets[i]` counts samples in `[2^i, 2^(i+1))`; bucket 0 also counts 0.
     buckets: [u64; 64],

@@ -1,13 +1,12 @@
 //! Deterministic randomness for reproducible experiments.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// A seeded random-number generator wrapper.
+/// A seeded xoshiro256++ generator, its state filled by SplitMix64.
 ///
 /// All stochastic behaviour in the simulator (packet loss, workload
 /// inter-arrival times, admin corruption draws in the quorum experiment)
 /// flows through a [`DetRng`] so a single seed reproduces a whole experiment.
+/// The stream for a seed is part of every recorded digest and is pinned by
+/// a golden test.
 ///
 /// # Examples
 ///
@@ -20,48 +19,45 @@ use rand::{Rng, SeedableRng};
 /// ```
 #[derive(Debug, Clone)]
 pub struct DetRng {
-    inner: StdRng,
-    seed: u64,
+    state: [u64; 4],
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 impl DetRng {
     /// Creates a generator from a 64-bit seed.
     pub fn seed(seed: u64) -> Self {
+        let mut s = seed;
         DetRng {
-            inner: StdRng::seed_from_u64(seed),
-            seed,
+            state: std::array::from_fn(|_| splitmix64(&mut s)),
         }
-    }
-
-    /// Returns the seed this generator was created with.
-    pub fn initial_seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Derives an independent child generator; useful for giving each
-    /// subsystem its own stream while preserving determinism.
-    pub fn fork(&mut self, label: u64) -> DetRng {
-        let child_seed = self
-            .inner
-            .gen::<u64>()
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(label);
-        DetRng::seed(child_seed)
     }
 
     /// Returns a uniformly random `u64`.
     pub fn next_u64(&mut self) -> u64 {
-        self.inner.gen()
+        let [s0, s1, s2, s3] = self.state;
+        let result = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
+        let t = s1 << 17;
+        let mut s2 = s2 ^ s0;
+        let mut s3 = s3 ^ s1;
+        let s1 = s1 ^ s2;
+        let s0 = s0 ^ s3;
+        s2 ^= t;
+        s3 = s3.rotate_left(45);
+        self.state = [s0, s1, s2, s3];
+        result
     }
 
     /// Returns a uniformly random value in `[0, bound)`. Returns 0 when
     /// `bound` is 0.
     pub fn below(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            0
-        } else {
-            self.inner.gen_range(0..bound)
-        }
+        self.range(0, bound)
     }
 
     /// Returns a uniformly random value in `[lo, hi)`; `lo` if the range is
@@ -70,38 +66,28 @@ impl DetRng {
         if hi <= lo {
             lo
         } else {
-            self.inner.gen_range(lo..hi)
+            lo + self.next_u64() % (hi - lo)
         }
     }
 
-    /// Returns a uniformly random `f64` in `[0, 1)`.
+    /// Returns a uniformly random `f64` in `[0, 1)`: 53 random mantissa
+    /// bits.
     pub fn unit(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Returns true with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
-        let p = p.clamp(0.0, 1.0);
-        self.inner.gen::<f64>() < p
+        self.unit() < p.clamp(0.0, 1.0)
     }
 
     /// Draws a sample from an exponential distribution with the given mean.
     ///
     /// Used for open-loop workload inter-arrival times.
     pub fn exponential(&mut self, mean: f64) -> f64 {
-        let u: f64 = self.inner.gen_range(f64::MIN_POSITIVE..1.0);
+        // A unit draw in `[MIN_POSITIVE, 1)`, so the logarithm is finite.
+        let u = self.unit().max(f64::MIN_POSITIVE);
         -mean * u.ln()
-    }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        if items.is_empty() {
-            return;
-        }
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
     }
 
     /// Picks a uniformly random element of a non-empty slice.
@@ -112,11 +98,6 @@ impl DetRng {
             let i = self.below(items.len() as u64) as usize;
             Some(&items[i])
         }
-    }
-
-    /// Exposes the underlying `rand` generator for APIs that need it.
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.inner
     }
 }
 
@@ -168,22 +149,96 @@ mod tests {
         assert!(avg > 4.0 && avg < 6.0, "avg={avg}");
     }
 
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = DetRng::seed(4);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
+    /// The first draws of every sampler for one seed, taken from one
+    /// generator in a fixed order.
+    #[derive(Debug, PartialEq)]
+    struct Pinned {
+        next: [u64; 2],
+        below: u64,
+        range: u64,
+        unit_bits: u64,
+        /// Eight `chance(0.5)` draws, first draw in bit 0.
+        chance: u8,
+        exponential_bits: u64,
+        pick: u32,
     }
 
+    fn draw(seed: u64) -> Pinned {
+        let mut r = DetRng::seed(seed);
+        Pinned {
+            next: [r.next_u64(), r.next_u64()],
+            below: r.below(1000),
+            range: r.range(10, 20),
+            unit_bits: r.unit().to_bits(),
+            chance: (0..8).fold(0, |bits, i| bits | u8::from(r.chance(0.5)) << i),
+            exponential_bits: r.exponential(5.0).to_bits(),
+            pick: *r.pick(&[2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]).unwrap(),
+        }
+    }
+
+    /// Every seeded artifact in the tree (arrival traces, fault plans,
+    /// `sim_digests`) is a function of these streams, so the constants must
+    /// never move.
     #[test]
-    fn fork_produces_independent_but_deterministic_children() {
-        let mut a = DetRng::seed(9);
-        let mut b = DetRng::seed(9);
-        let mut ca = a.fork(1);
-        let mut cb = b.fork(1);
-        assert_eq!(ca.next_u64(), cb.next_u64());
+    fn det_rng_streams_are_pinned() {
+        let golden = [
+            (
+                0,
+                Pinned {
+                    next: [0x5317_5D61_490B_23DF, 0x61DA_6F3D_C380_D507],
+                    below: 180,
+                    range: 10,
+                    unit_bits: 0x3FDF_B281_3AEB_D296,
+                    chance: 0xF9,
+                    exponential_bits: 0x4027_AA23_6F08_A567,
+                    pick: 7,
+                },
+            ),
+            (
+                7,
+                Pinned {
+                    next: [0x0E2C_1A00_2AAE_913D, 0x2C0F_C8DD_FA4E_9E14],
+                    below: 178,
+                    range: 16,
+                    unit_bits: 0x3FEE_D64C_7E5E_AF20,
+                    chance: 0x75,
+                    exponential_bits: 0x4025_CBCC_615F_83A0,
+                    pick: 29,
+                },
+            ),
+            (
+                u64::MAX,
+                Pinned {
+                    next: [0x56CC_F8CE_948E_27B2, 0xE685_8843_2E5A_5B90],
+                    below: 435,
+                    range: 17,
+                    unit_bits: 0x3FE4_FAC4_081D_524C,
+                    chance: 0x25,
+                    exponential_bits: 0x402C_59CB_27A7_5BBC,
+                    pick: 19,
+                },
+            ),
+        ];
+        for (seed, pinned) in golden {
+            assert_eq!(draw(seed), pinned, "seed {seed:#x}");
+        }
+    }
+
+    /// The integer and float samplers stay inside their half-open ranges
+    /// and `unit` is uniform enough to centre on one half.
+    #[test]
+    fn samplers_stay_in_range_and_unit_centres_on_one_half() {
+        let mut r = DetRng::seed(3);
+        for _ in 0..10_000 {
+            assert!(r.below(17) < 17);
+            assert!((5..17).contains(&r.range(5, 17)));
+            assert!((0.0..1.0).contains(&r.unit()));
+            assert!(r.exponential(2.0) >= 0.0);
+        }
+        assert_eq!(r.range(9, 9), 9);
+        let mut r = DetRng::seed(4);
+        let n = 50_000;
+        let mean = (0..n).map(|_| r.unit()).sum::<f64>() / f64::from(n);
+        assert!((0.48..0.52).contains(&mean), "mean={mean}");
     }
 }

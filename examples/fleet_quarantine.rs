@@ -15,9 +15,8 @@ const SESSIONS: u32 = 32;
 fn main() -> guillotine_types::Result<()> {
     let mut fleet = GuillotineFleet::builder().with_shards(SHARDS).build()?;
     println!(
-        "fleet: {} shards, routing {:?}\n",
-        fleet.shard_count(),
-        fleet.routing()
+        "fleet: {} shards, routing by session affinity\n",
+        fleet.shard_count()
     );
 
     // Wave 1: benign traffic from every session, spread by affinity.

@@ -3,7 +3,7 @@
 //! fail-closed behaviour of a fully quarantined fleet.
 
 use guillotine::admission::FrontDoor;
-use guillotine::fleet::{GuillotineFleet, RoutingPolicy};
+use guillotine::fleet::GuillotineFleet;
 use guillotine::serve::{ServeOutcomeKind, ServePriority, ServeRequest, ServeStage};
 use guillotine_physical::IsolationLevel;
 use guillotine_types::SessionId;
@@ -28,6 +28,22 @@ fn sessions_on_distinct_shards(fleet: &GuillotineFleet) -> (SessionId, SessionId
         }
     }
     panic!("no second shard found for any session");
+}
+
+/// The first `per_shard` session ids homed on each shard, dealt round-robin:
+/// entry `i` is homed on shard `i % shard_count`.
+fn sessions_dealt_over_shards(fleet: &GuillotineFleet, per_shard: usize) -> Vec<SessionId> {
+    let n = fleet.shard_count();
+    let homed: Vec<Vec<SessionId>> = (0..n)
+        .map(|shard| {
+            (0..)
+                .map(SessionId::new)
+                .filter(|s| fleet.home_shard(*s) == shard)
+                .take(per_shard)
+                .collect()
+        })
+        .collect();
+    (0..n * per_shard).map(|i| homed[i % n][i / n]).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -302,26 +318,26 @@ fn served_traffic_lands_on_the_same_shards_across_identical_fleets() {
 
 #[test]
 fn each_shard_launches_once_per_fleet_batch_it_participates_in() {
-    let mut fleet = GuillotineFleet::builder()
-        .with_shards(4)
-        .with_routing(RoutingPolicy::RoundRobin)
-        .build()
-        .unwrap();
+    let mut fleet = fleet(4);
+    let sessions = sessions_dealt_over_shards(&fleet, 2);
     for wave in 0..3 {
         let responses = fleet
             .serve_batch(
-                (0..8u32)
-                    .map(|i| {
+                sessions
+                    .iter()
+                    .enumerate()
+                    .map(|(i, session)| {
                         ServeRequest::new(format!("Wave {wave} question {i}."))
-                            .with_session(SessionId::new(i))
+                            .with_session(*session)
                     })
                     .collect(),
             )
             .unwrap();
         assert!(responses.iter().all(|r| r.delivered()));
     }
-    // Round-robin gives every shard 2 requests per wave; batching amortizes
-    // each sub-batch into exactly one forward launch per shard per wave.
+    // Two sessions homed on every shard give it 2 requests per wave; batching
+    // amortizes each sub-batch into exactly one forward launch per shard per
+    // wave.
     for stats in fleet.stats().shards {
         assert_eq!(stats.routed, 6);
         assert_eq!(stats.forward_launches, 3);
@@ -338,7 +354,15 @@ fn a_mid_window_crash_invalidates_kv_after_the_batchs_lookups_not_between_them()
     use guillotine::KvCacheConfig;
     use guillotine_types::SimDuration;
 
-    let session = SessionId::new(1);
+    let mut fleet = GuillotineFleet::builder()
+        .with_shards(2)
+        .with_kv_cache(KvCacheConfig::default())
+        .with_kv_invalidation_on_quarantine(true)
+        .build()
+        .unwrap();
+    // One session homed on shard 1, and a bystander homed on shard 0.
+    let homed = sessions_dealt_over_shards(&fleet, 1);
+    let (bystander, session) = (homed[0], homed[1]);
     // Each turn extends the last by more than one KV block.
     let turn = |turns: usize| {
         let mut prompt = String::from("We are planning a walk along the coast next week.");
@@ -349,26 +373,21 @@ fn a_mid_window_crash_invalidates_kv_after_the_batchs_lookups_not_between_them()
         }
         ServeRequest::new(prompt).with_session(session)
     };
-    let mut fleet = GuillotineFleet::builder()
-        .with_shards(2)
-        .with_routing(RoutingPolicy::RoundRobin)
-        .with_kv_cache(KvCacheConfig::default())
-        .with_kv_invalidation_on_quarantine(true)
-        .build()
-        .unwrap();
 
-    // Batch 1: the rotation starts at shard 0, so the session's prefix is
-    // prefilled — and tagged — under shard 0.
+    // Batch 1: the session's home shard is down, so its first turn is
+    // re-homed and its prefix is prefilled — and tagged — under shard 0.
+    fleet.inject_crash(1);
     let warm = fleet.serve_batch_attempt(&[turn(1)]);
     assert_eq!(warm.shards, vec![Some(0)]);
+    assert!(fleet.recover_shard(1));
 
-    // Batch 2: the rotation puts the session's next turn on shard 1 and a
-    // bystander on shard 0, which is scheduled to crash inside the batch's
+    // Batch 2: the session's next turn goes home to shard 1 and the
+    // bystander to shard 0, which is scheduled to crash inside the batch's
     // serving window.
     let begin = fleet.clock.now();
     let crash_at = begin.saturating_add(SimDuration::from_micros(1));
     fleet.schedule_crash(0, crash_at);
-    let bystander = ServeRequest::new("What causes tides?").with_session(SessionId::new(2));
+    let bystander = ServeRequest::new("What causes tides?").with_session(bystander);
     let attempt = fleet.serve_batch_attempt(&[turn(2), bystander]);
     assert_eq!(attempt.failed, vec![1], "shard 0 lost its sub-batch");
     assert!(fleet.is_crashed(0) && fleet.kv_invalidated(0));
