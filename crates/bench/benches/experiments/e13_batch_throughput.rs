@@ -6,21 +6,16 @@
 //! pass (one weight sweep per launch) once per batch, so throughput should
 //! scale roughly with batch size; the acceptance bar is ≥2x at batch 64.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use super::fixtures::release_note_prompts as prompts;
 use guillotine::deployment::{DeploymentConfig, GuillotineDeployment};
 use guillotine::serve::ServeRequest;
-
-fn prompts(n: usize) -> Vec<String> {
-    (0..n)
-        .map(|i| format!("Summarize change number {i} in the release notes."))
-        .collect()
-}
+use guillotine_bench::{time, BenchJson};
 
 fn deployment() -> GuillotineDeployment {
     GuillotineDeployment::new(DeploymentConfig::default()).unwrap()
 }
 
-fn bench(c: &mut Criterion) {
+pub fn run() {
     // Headline number first: one explicit comparison at batch 64.
     let texts = prompts(64);
     let mut batched = deployment();
@@ -44,39 +39,32 @@ fn bench(c: &mut Criterion) {
     println!(
         "e13: serve_batch(64) {batch_time:?} vs 64x serve_prompt {sequential_time:?} -> {speedup:.1}x speedup"
     );
-    guillotine_bench::BenchJson::new("e13", "batch_throughput")
+    BenchJson::new("e13", "batch_throughput")
         .metric("batch64_wall_s", batch_time.as_secs_f64())
         .metric("sequential64_wall_s", sequential_time.as_secs_f64())
         .bar("batch64_wall_speedup", speedup, 2.0)
         .write();
 
-    let mut group = c.benchmark_group("e13_batch_throughput");
-    group.sample_size(10);
     for size in [1usize, 8, 64] {
-        group.bench_with_input(BenchmarkId::new("serve_batch", size), &size, |b, &n| {
-            let texts = prompts(n);
-            let mut d = deployment();
-            b.iter(|| {
+        let texts = prompts(size);
+        let mut d = deployment();
+        time(
+            &format!("e13_batch_throughput/serve_batch/{size}"),
+            10,
+            || {
                 d.serve_batch(texts.iter().map(|p| ServeRequest::new(p.clone())).collect())
                     .unwrap()
-            })
-        });
-        group.bench_with_input(
-            BenchmarkId::new("serve_prompt_loop", size),
-            &size,
-            |b, &n| {
-                let texts = prompts(n);
-                let mut d = deployment();
-                b.iter(|| {
-                    for prompt in &texts {
-                        d.serve_prompt(prompt).unwrap();
-                    }
-                })
+            },
+        );
+        let mut d = deployment();
+        time(
+            &format!("e13_batch_throughput/serve_prompt_loop/{size}"),
+            10,
+            || {
+                for prompt in &texts {
+                    d.serve_prompt(prompt).unwrap();
+                }
             },
         );
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -16,11 +16,11 @@
 //! no bar — CI runner core counts vary, and on one CPU the driver is the
 //! serial one. Splitting a wave over more shards also *adds* sweeps (one
 //! launch per live shard), so wall-clock only wins once there are cores to
-//! overlap them on. The Criterion group measures the same serve path.
+//! overlap them on. The closing timings measure the same serve path.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use guillotine::fleet::GuillotineFleet;
 use guillotine::serve::ServeRequest;
+use guillotine_bench::{time, BenchJson};
 use guillotine_types::SessionId;
 use std::time::Instant;
 
@@ -83,7 +83,7 @@ fn serve_waves(fleet: &mut GuillotineFleet, waves: Vec<Vec<ServeRequest>>) -> (f
     (fleet.stats().elapsed.as_nanos() as f64 / 1e9, host)
 }
 
-fn bench(c: &mut Criterion) {
+pub fn run() {
     // Headline: deterministic simulated throughput scaling, 1 vs 2 vs 8
     // shards on the same stream.
     let requests = (WAVES * WAVE_SIZE) as f64;
@@ -131,7 +131,7 @@ fn bench(c: &mut Criterion) {
         speedup_8 >= 1.5,
         "8 shards must give >=1.5x simulated throughput over 1 (got {speedup_8:.2}x)"
     );
-    let mut report = guillotine_bench::BenchJson::new("e14", "fleet_throughput");
+    let mut report = BenchJson::new("e14", "fleet_throughput");
     for &(shards, tput) in &throughput {
         report.metric(&format!("throughput_{shards}_shards_req_per_s"), tput);
     }
@@ -144,19 +144,12 @@ fn bench(c: &mut Criterion) {
         .bar("speedup_8_shards", speedup_8, 1.5)
         .write();
 
-    // Wall-clock side: Criterion over the same serve path.
-    let mut group = c.benchmark_group("e14_fleet_throughput");
-    group.sample_size(10);
+    // Wall-clock side: the same serve path, fleet build included.
     for shards in [1usize, 2, 8] {
-        group.bench_with_input(BenchmarkId::new("serve_batch", shards), &shards, |b, &n| {
-            b.iter(|| {
-                let mut f = fleet(n);
-                serve_waves(&mut f, stream(&sessions))
-            })
-        });
+        time(
+            &format!("e14_fleet_throughput/serve_batch/{shards}"),
+            10,
+            || serve_waves(&mut fleet(shards), stream(&sessions)),
+        );
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -21,18 +21,19 @@
 //!    sanitizer's scanned-bytes witness equals the bytes pushed, i.e. the
 //!    chunked path walks each byte once, like the whole-string scan.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use guillotine::deployment::GuillotineDeployment;
 use guillotine::serve::ServeRequest;
 use guillotine::DeploymentBuilder;
+use guillotine_bench::{measure, time, BenchJson};
 use guillotine_detect::{
     CompiledCategories, Detector, ForbiddenCategory, InputShield, ModelObservation,
     OutputSanitizer, RecommendedAction, StreamingSanitizer, Verdict,
 };
 use guillotine_scan::{naive, Matcher};
 use guillotine_types::encode::{crc32, push_escaped};
+use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------
 // Workload: a fleet-scale ruleset and realistic prompt bodies.
@@ -93,15 +94,6 @@ fn prompts(n: usize) -> Vec<String> {
             p
         })
         .collect()
-}
-
-fn measure<F: FnMut()>(reps: u32, mut f: F) -> Duration {
-    f(); // warm-up
-    let start = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    start.elapsed() / reps
 }
 
 // ---------------------------------------------------------------------
@@ -285,7 +277,7 @@ fn requests(texts: &[String]) -> Vec<ServeRequest> {
     texts.iter().map(|p| ServeRequest::new(p.clone())).collect()
 }
 
-fn bench(c: &mut Criterion) {
+pub fn run() {
     let texts = prompts(64);
 
     // ---- Scan microbench: one matched_ids query, naive vs automaton. ----
@@ -303,12 +295,12 @@ fn bench(c: &mut Criterion) {
             assert_eq!(set.contains(id), hit, "divergence on pattern {id}");
         }
     }
-    let naive_scan = measure(20, || {
+    let naive_scan = time("e15_scan_throughput/matched_ids/naive", 20, || {
         for text in &texts {
             black_box(naive::matched_ids(&patterns, text));
         }
     });
-    let automaton_scan = measure(20, || {
+    let automaton_scan = time("e15_scan_throughput/matched_ids/automaton", 20, || {
         for text in &texts {
             black_box(matcher.matched_ids(text));
         }
@@ -336,11 +328,11 @@ fn bench(c: &mut Criterion) {
         assert_eq!(f.response, s.response, "pipelines must agree on responses");
         assert!(f.delivered());
     }
-    let automaton_batch = measure(5, || {
-        black_box(fast.serve_batch(requests(&texts)).unwrap());
+    let automaton_batch = time("e15_scan_throughput/serve_batch64/automaton", 5, || {
+        fast.serve_batch(requests(&texts)).unwrap()
     });
-    let naive_batch = measure(5, || {
-        black_box(slow.serve_batch(requests(&texts)).unwrap());
+    let naive_batch = time("e15_scan_throughput/serve_batch64/naive", 5, || {
+        slow.serve_batch(requests(&texts)).unwrap()
     });
     let e2e_speedup = naive_batch.as_secs_f64() / automaton_batch.as_secs_f64().max(1e-12);
     println!(
@@ -353,7 +345,7 @@ fn bench(c: &mut Criterion) {
     );
     // ---- Per-byte kernel costs over the same prompts. ----
     let bytes: usize = texts.iter().map(String::len).sum();
-    let per_byte = |elapsed: Duration| elapsed.as_nanos() as f64 / bytes as f64;
+    let per_byte = |(mean, _min): (Duration, Duration)| mean.as_nanos() as f64 / bytes as f64;
     let categories = Arc::new(CompiledCategories::standard());
     let scan_ns = per_byte(measure(20, || {
         for text in &texts {
@@ -405,7 +397,7 @@ fn bench(c: &mut Criterion) {
         texts[0].len(),
     );
 
-    guillotine_bench::BenchJson::new("e15", "scan_throughput")
+    BenchJson::new("e15", "scan_throughput")
         .metric("patterns", patterns.len() as f64)
         .metric("scan_ns_per_byte", scan_ns)
         .metric("stream_sanitize_32b_ns_per_byte", stream_ns)
@@ -418,32 +410,4 @@ fn bench(c: &mut Criterion) {
         .bar("scan_speedup", scan_speedup, 5.0)
         .bar("serve_batch_speedup", e2e_speedup, 1.5)
         .write();
-
-    // ---- Criterion records for the trajectory. ----
-    let mut group = c.benchmark_group("e15_scan_throughput");
-    group.sample_size(10);
-    group.bench_function("matched_ids/naive", |b| {
-        b.iter(|| {
-            for text in &texts {
-                black_box(naive::matched_ids(&patterns, text));
-            }
-        })
-    });
-    group.bench_function("matched_ids/automaton", |b| {
-        b.iter(|| {
-            for text in &texts {
-                black_box(matcher.matched_ids(text));
-            }
-        })
-    });
-    group.bench_function("serve_batch64/naive", |b| {
-        b.iter(|| black_box(slow.serve_batch(requests(&texts)).unwrap()))
-    });
-    group.bench_function("serve_batch64/automaton", |b| {
-        b.iter(|| black_box(fast.serve_batch(requests(&texts)).unwrap()))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

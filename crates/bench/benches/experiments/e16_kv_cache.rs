@@ -12,10 +12,10 @@
 //! shared tier preserved locality (it does) or quarantine invalidation
 //! traded it away for containment (it does, measurably).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use guillotine::fleet::GuillotineFleet;
 use guillotine::serve::{ServeOutcomeKind, ServeRequest};
 use guillotine::KvCacheConfig;
+use guillotine_bench::{time, BenchJson};
 use guillotine_types::SessionId;
 
 const SESSIONS: u32 = 16;
@@ -88,7 +88,7 @@ fn rehome_penalty(invalidate: bool) -> f64 {
     stats.rehomed_hit_rate()
 }
 
-fn bench(c: &mut Criterion) {
+pub fn run() {
     // Headline: simulated serving time of the replay, tier on vs off.
     let mut cached = fleet(true, false);
     let mut uncached = fleet(false, false);
@@ -132,7 +132,7 @@ fn bench(c: &mut Criterion) {
         shared_rate > invalidated_rate,
         "invalidation must cost re-homed locality ({shared_rate:.2} vs {invalidated_rate:.2})"
     );
-    guillotine_bench::BenchJson::new("e16", "kv_cache")
+    BenchJson::new("e16", "kv_cache")
         .metric("cached_sim_s", cached_sim.as_secs_f64())
         .metric("uncached_sim_s", uncached_sim.as_secs_f64())
         .metric("kv_hit_rate", kv.hit_rate())
@@ -143,20 +143,9 @@ fn bench(c: &mut Criterion) {
         .write();
 
     // Steady-state wall-clock comparison (warm tier vs no tier).
-    let mut group = c.benchmark_group("e16_kv_cache");
-    group.sample_size(10);
-    group.bench_function("replay_kv_on", |b| {
-        let mut fleet = fleet(true, false);
+    for (label, kv) in [("replay_kv_on", true), ("replay_kv_off", false)] {
+        let mut fleet = fleet(kv, false);
         replay(&mut fleet);
-        b.iter(|| replay(&mut fleet))
-    });
-    group.bench_function("replay_kv_off", |b| {
-        let mut fleet = fleet(false, false);
-        replay(&mut fleet);
-        b.iter(|| replay(&mut fleet))
-    });
-    group.finish();
+        time(&format!("e16_kv_cache/{label}"), 10, || replay(&mut fleet));
+    }
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -21,31 +21,22 @@
 //! and an overloaded bounded queue reports its shed counts in the
 //! `FleetReport` render.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use super::fixtures::bursty_arrivals;
 use guillotine::admission::{AdmissionConfig, FrontDoor, TimedArrival};
 use guillotine::fleet::GuillotineFleet;
 use guillotine::serve::{ServePriority, ServeRequest};
-use guillotine::{
-    ArrivalGen, ArrivalProcess, BatchPolicy, DeadlinePolicy, FifoWavePolicy, ShedPolicy,
-};
+use guillotine::{BatchPolicy, DeadlinePolicy, FifoWavePolicy, ShedPolicy};
+use guillotine_bench::{time, BenchJson};
 use guillotine_types::{SessionId, SimDuration};
 
 const REQUESTS: usize = 192;
 const SEED: u64 = 0x17AD;
 
-fn process() -> ArrivalProcess {
-    ArrivalProcess::OnOff {
-        burst_len: 16,
-        burst_gap: SimDuration::from_micros(50),
-        idle_gap: SimDuration::from_millis(1),
-    }
-}
-
 /// The deterministic workload: bursty arrivals, 24 sessions, a priority
 /// mix with tiered deadlines (interactive requests are latency-sensitive,
 /// batch-class requests carry none).
 fn trace() -> Vec<TimedArrival> {
-    ArrivalGen::trace(process(), SEED, REQUESTS)
+    bursty_arrivals(SEED, REQUESTS)
         .into_iter()
         .enumerate()
         .map(|(i, at)| {
@@ -83,7 +74,17 @@ fn throughput(o: &Outcome) -> f64 {
     o.served as f64 / o.elapsed.as_secs_f64()
 }
 
-fn run(policy: Box<dyn BatchPolicy>, capacity: usize, shed: ShedPolicy) -> Outcome {
+/// The deadline-aware former under test.
+fn deadline_former() -> Box<dyn BatchPolicy> {
+    Box::new(DeadlinePolicy {
+        max_batch: 16,
+        max_wait: SimDuration::from_micros(200),
+        session_affinity: true,
+        ..DeadlinePolicy::default()
+    })
+}
+
+fn replay(policy: Box<dyn BatchPolicy>, capacity: usize, shed: ShedPolicy) -> Outcome {
     let fleet = GuillotineFleet::builder().with_shards(2).build().unwrap();
     let mut door = FrontDoor::new(
         fleet,
@@ -106,27 +107,18 @@ fn run(policy: Box<dyn BatchPolicy>, capacity: usize, shed: ShedPolicy) -> Outco
     }
 }
 
-fn bench(c: &mut Criterion) {
-    let per_request = run(
+pub fn run() {
+    let per_request = replay(
         Box::new(FifoWavePolicy::per_request()),
         1024,
         ShedPolicy::FailClosed,
     );
-    let fixed_wave = run(
+    let fixed_wave = replay(
         Box::new(FifoWavePolicy { wave: 16 }),
         1024,
         ShedPolicy::FailClosed,
     );
-    let deadline = run(
-        Box::new(DeadlinePolicy {
-            max_batch: 16,
-            max_wait: SimDuration::from_micros(200),
-            session_affinity: true,
-            ..DeadlinePolicy::default()
-        }),
-        1024,
-        ShedPolicy::FailClosed,
-    );
+    let deadline = replay(deadline_former(), 1024, ShedPolicy::FailClosed);
     assert_eq!(per_request.served, REQUESTS as u64);
     assert_eq!(fixed_wave.served, REQUESTS as u64);
     assert_eq!(deadline.served, REQUESTS as u64);
@@ -170,16 +162,7 @@ fn bench(c: &mut Criterion) {
 
     // Overload a bounded shedding queue with the same trace: the shed
     // counts must be non-zero and reported in the render.
-    let overloaded = run(
-        Box::new(DeadlinePolicy {
-            max_batch: 16,
-            max_wait: SimDuration::from_micros(200),
-            session_affinity: true,
-            ..DeadlinePolicy::default()
-        }),
-        24,
-        ShedPolicy::DropLowestPriority,
-    );
+    let overloaded = replay(deadline_former(), 24, ShedPolicy::DropLowestPriority);
     let shed_line = overloaded
         .report
         .lines()
@@ -195,7 +178,7 @@ fn bench(c: &mut Criterion) {
         shed_line.contains(&format!("{} shed", overloaded.shed)),
         "the rendered report must carry the shed count: {shed_line}"
     );
-    guillotine_bench::BenchJson::new("e17", "admission")
+    BenchJson::new("e17", "admission")
         .metric("per_request_req_per_s", throughput(&per_request))
         .metric("fixed_wave_req_per_s", throughput(&fixed_wave))
         .metric("deadline_req_per_s", throughput(&deadline))
@@ -207,33 +190,14 @@ fn bench(c: &mut Criterion) {
         .write();
 
     // Wall-clock: the full open-loop replay through the deadline former.
-    let mut group = c.benchmark_group("e17_admission");
-    group.sample_size(10);
-    group.bench_function("replay_deadline_former", |b| {
-        b.iter(|| {
-            run(
-                Box::new(DeadlinePolicy {
-                    max_batch: 16,
-                    max_wait: SimDuration::from_micros(200),
-                    session_affinity: true,
-                    ..DeadlinePolicy::default()
-                }),
-                1024,
-                ShedPolicy::FailClosed,
-            )
-        })
+    time("e17_admission/replay_deadline_former", 10, || {
+        replay(deadline_former(), 1024, ShedPolicy::FailClosed)
     });
-    group.bench_function("replay_per_request", |b| {
-        b.iter(|| {
-            run(
-                Box::new(FifoWavePolicy::per_request()),
-                1024,
-                ShedPolicy::FailClosed,
-            )
-        })
+    time("e17_admission/replay_per_request", 10, || {
+        replay(
+            Box::new(FifoWavePolicy::per_request()),
+            1024,
+            ShedPolicy::FailClosed,
+        )
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -20,24 +20,15 @@
 //!
 //! Both sides land in `BENCH_e18.json`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use super::fixtures::bursty_arrivals;
 use guillotine::admission::{FrontDoor, TimedArrival};
 use guillotine::fleet::GuillotineFleet;
 use guillotine::serve::{ServePriority, ServeRequest};
-use guillotine::{ArrivalGen, ArrivalProcess};
+use guillotine_bench::{time, BenchJson};
 use guillotine_types::{SessionId, SimDuration};
 
 const REQUESTS: usize = 192;
 const SEED: u64 = 0x18E5;
-
-/// Bursty arrivals: the same on-off process the admission bench replays.
-fn process() -> ArrivalProcess {
-    ArrivalProcess::OnOff {
-        burst_len: 16,
-        burst_gap: SimDuration::from_micros(50),
-        idle_gap: SimDuration::from_millis(1),
-    }
-}
 
 /// A long batch-class prompt (~2 KiB): its prefill is what pollutes
 /// interactive TTFT when a completion-target former mixes classes.
@@ -55,7 +46,7 @@ fn long_prompt(i: usize) -> String {
 /// The seeded trace: one third short interactive requests carrying a TTFT
 /// deadline, one third short normal requests, one third long batch jobs.
 fn trace() -> Vec<TimedArrival> {
-    ArrivalGen::trace(process(), SEED, REQUESTS)
+    bursty_arrivals(SEED, REQUESTS)
         .into_iter()
         .enumerate()
         .map(|(i, at)| {
@@ -95,7 +86,7 @@ struct Outcome {
     report: String,
 }
 
-fn run(ttft_forming: bool) -> Outcome {
+fn replay(ttft_forming: bool) -> Outcome {
     let fleet = GuillotineFleet::builder().with_shards(2).build().unwrap();
     let mut door = if ttft_forming {
         FrontDoor::ttft_deadline_aware(fleet)
@@ -158,10 +149,10 @@ fn severed_witness() -> (u64, String) {
     (severed, fleet.report().render())
 }
 
-fn bench(c: &mut Criterion) {
+pub fn run() {
     // ---- TTFT under completion-target vs TTFT-target batch forming. ----
-    let completion = run(false);
-    let first_token = run(true);
+    let completion = replay(false);
+    let first_token = replay(true);
     let ttft_speedup = completion.interactive_ttft.as_nanos() as f64
         / first_token.interactive_ttft.as_nanos().max(1) as f64;
     println!(
@@ -205,7 +196,7 @@ fn bench(c: &mut Criterion) {
     );
 
     let us = |d: SimDuration| d.as_nanos() as f64 / 1e3;
-    guillotine_bench::BenchJson::new("e18", "streaming")
+    BenchJson::new("e18", "streaming")
         .metric(
             "interactive_ttft_completion_us",
             us(completion.interactive_ttft),
@@ -226,12 +217,8 @@ fn bench(c: &mut Criterion) {
         .write();
 
     // ---- Wall-clock: the full streaming replay, both formers. ----
-    let mut group = c.benchmark_group("e18_streaming");
-    group.sample_size(10);
-    group.bench_function("replay_ttft_former", |b| b.iter(|| run(true)));
-    group.bench_function("replay_completion_former", |b| b.iter(|| run(false)));
-    group.finish();
+    time("e18_streaming/replay_ttft_former", 10, || replay(true));
+    time("e18_streaming/replay_completion_former", 10, || {
+        replay(false)
+    });
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

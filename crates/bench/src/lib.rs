@@ -1,17 +1,47 @@
 //! Benchmark support crate.
 //!
-//! The actual benchmark targets live in `benches/`; each one wraps one of the
-//! experiment functions from `guillotine::experiments` (or the escape
-//! campaign) with Criterion and prints the corresponding results table so the
-//! series the paper's claims imply can be regenerated with `cargo bench`.
+//! The evaluation is one bench target, `benches/experiments/`: a registry of
+//! E1–E21, each wrapping experiment functions from `guillotine::experiments`
+//! (or the escape campaign, or the serving stack itself) and printing the
+//! results table or headline the paper's claims imply. `cargo bench -p
+//! guillotine-bench --bench experiments` runs them all; `-- e19 e20` runs
+//! the named ones and `-- --list` prints the registry.
 //!
-//! [`BenchJson`] is the machine-readable side of that output: every serving
-//! bench (e13–e18) builds one and writes `BENCH_<experiment>.json` next to
-//! the bench binary's working directory, recording its headline metrics and
-//! acceptance bars so CI can archive the numbers without scraping stdout.
+//! This library is what every experiment shares. [`measure`] / [`time`] are
+//! the wall-clock side: one warm-up, N timed runs, mean and minimum.
+//! [`BenchJson`] is the machine-readable side: every serving experiment
+//! (e13–e21) builds one and writes `BENCH_<experiment>.json` into the
+//! working directory, recording its headline metrics and acceptance bars so
+//! CI can archive the numbers without scraping stdout.
 
 use guillotine_types::encode::{json_escape, json_number};
 use std::fmt::Write as _;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+/// One untimed warm-up call of `routine`, then `samples` timed calls (at
+/// least one): the mean and the minimum wall-clock time per call.
+pub fn measure<O>(samples: usize, mut routine: impl FnMut() -> O) -> (Duration, Duration) {
+    black_box(routine());
+    let samples: Vec<Duration> = (0..samples.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            black_box(routine());
+            start.elapsed()
+        })
+        .collect();
+    let mean = samples.iter().sum::<Duration>() / samples.len() as u32;
+    (mean, samples.into_iter().min().unwrap_or_default())
+}
+
+/// [`measure`]s `routine` and prints the mean, the minimum and the sample
+/// count under `label`; returns the mean for runs that hold it to a bar.
+pub fn time<O>(label: &str, samples: usize, routine: impl FnMut() -> O) -> Duration {
+    let samples = samples.max(1);
+    let (mean, min) = measure(samples, routine);
+    println!("{label:<48} mean {mean:>12?}   min {min:>12?}   ({samples} samples)");
+    mean
+}
 
 /// One bench run's machine-readable results: named scalar metrics plus the
 /// acceptance bars the run was held to. Serialized by hand — the workspace
@@ -63,6 +93,12 @@ impl BenchJson {
         self
     }
 
+    /// Records a yes/no acceptance bar (a zero-count witness, say) as 1 or 0
+    /// against a threshold of 1.
+    pub fn holds(&mut self, name: &str, ok: bool) -> &mut Self {
+        self.bar(name, if ok { 1.0 } else { 0.0 }, 1.0)
+    }
+
     /// The serialized JSON document.
     pub fn render(&self) -> String {
         let mut out = String::from("{\n");
@@ -111,6 +147,16 @@ impl BenchJson {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn time_runs_one_warm_up_then_the_samples() {
+        let mut runs = 0u32;
+        time("demo/counting", 3, || runs += 1);
+        assert_eq!(runs, 4);
+        // A sample count of zero still measures once.
+        time("demo/clamped", 0, || runs += 1);
+        assert_eq!(runs, 6);
+    }
 
     #[test]
     fn renders_flat_json_with_metrics_and_bars() {

@@ -47,6 +47,14 @@ use guillotine_types::{DetRng, Result, SimDuration, SimInstant, TicketId};
 pub use guillotine_journal::{JournalConfig, JournalStore};
 use std::collections::HashMap;
 
+/// Base of the exponential backoff between retry rounds
+/// (`base * 2^(round-1)`), burned on the fleet clock.
+const BACKOFF_BASE: SimDuration = SimDuration::from_millis(1);
+/// Upper bound of the deterministic jitter added to each backoff.
+const BACKOFF_JITTER: SimDuration = SimDuration::from_micros(250);
+/// Seed of the door's deterministic jitter RNG.
+const JITTER_SEED: u64 = 0x5E1F_4EA1;
+
 /// Sizing and backpressure configuration of a [`FrontDoor`].
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionConfig {
@@ -152,7 +160,7 @@ pub struct FrontDoor {
     /// (stranded requests are refused at once) and keeps the ladder and
     /// the idempotency/session-order witnesses off.
     recovery: Option<RecoveryConfig>,
-    /// Deterministic backoff-jitter source (seeded from the config).
+    /// Deterministic backoff-jitter source (re-seeded by `enable_recovery`).
     recovery_rng: DetRng,
     /// Tickets that have completed, by raw id — the idempotency layer: a
     /// ticket can complete toward the caller at most once, however many
@@ -192,7 +200,7 @@ impl FrontDoor {
             default_deadline: config.default_deadline,
             ttft_deadlines: false,
             recovery: None,
-            recovery_rng: DetRng::seed(0),
+            recovery_rng: DetRng::seed(JITTER_SEED),
             completed_tickets: TicketSet::new(),
             session_progress: HashMap::new(),
             mode: DegradationMode::Normal,
@@ -258,7 +266,7 @@ impl FrontDoor {
     /// changes. Without this, the door serves the same path with every
     /// budget at zero: a stranded request is refused, not retried.
     pub fn enable_recovery(&mut self, config: RecoveryConfig) {
-        self.recovery_rng = DetRng::seed(config.seed);
+        self.recovery_rng = DetRng::seed(JITTER_SEED);
         self.recovery = Some(config);
         self.mode = DegradationMode::Normal;
         self.mode_since = self.fleet.clock.now();
@@ -647,13 +655,9 @@ impl FrontDoor {
         while !failed.is_empty() && round < cfg.max_retries {
             round += 1;
             self.fleet.recovery_mut().retries += failed.len() as u64;
-            let backoff = cfg.backoff_base.saturating_mul(1u64 << (round - 1).min(16));
-            let jitter_bound = cfg.backoff_jitter.as_nanos();
-            let jitter = if jitter_bound > 0 {
-                SimDuration::from_nanos(self.recovery_rng.below(jitter_bound + 1))
-            } else {
-                SimDuration::ZERO
-            };
+            let backoff = BACKOFF_BASE.saturating_mul(1u64 << (round - 1).min(16));
+            let jitter =
+                SimDuration::from_nanos(self.recovery_rng.below(BACKOFF_JITTER.as_nanos() + 1));
             let round_start = self.fleet.clock.now();
             self.fleet.clock.advance(backoff.saturating_add(jitter));
             let slots = failed;

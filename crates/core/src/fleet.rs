@@ -87,6 +87,7 @@ use crate::streaming::DEFAULT_CHUNK_TOKENS;
 use guillotine_admit::AdmissionStats;
 use guillotine_detect::{DetectorRegistry, InputShield, OutputSanitizer};
 use guillotine_model::{KvCacheConfig, KvTier, KvTierStats};
+use guillotine_physical::datacenter::MachinePlant;
 use guillotine_physical::{Datacenter, IsolationLevel};
 use guillotine_telemetry::{
     IncidentKind, MetricsRegistry, NewSpan, SpanId, Telemetry, TelemetryConfig,
@@ -95,26 +96,6 @@ use guillotine_types::{
     GuillotineError, Histogram, MachineId, Result, SessionId, SimClock, SimDuration, SimInstant,
 };
 use std::sync::Arc;
-
-/// Configuration of a [`GuillotineFleet`].
-#[derive(Debug, Clone)]
-pub struct FleetConfig {
-    /// Number of shards (deployments) in the fleet.
-    pub shards: usize,
-    /// Base deployment configuration. Shard `i` runs machine
-    /// `base.machine + i` with seed `base.seed ^ i`; everything else is
-    /// shared.
-    pub base: DeploymentConfig,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            shards: 2,
-            base: DeploymentConfig::default(),
-        }
-    }
-}
 
 /// Per-outcome response counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -622,7 +603,7 @@ pub struct BatchAttempt {
 
 /// A declarative builder for [`GuillotineFleet`].
 pub struct FleetBuilder {
-    config: FleetConfig,
+    shards: usize,
     kv: Option<KvCacheConfig>,
     invalidate_kv_on_quarantine: bool,
     probation: Option<(u32, usize)>,
@@ -635,10 +616,10 @@ impl Default for FleetBuilder {
 }
 
 impl FleetBuilder {
-    /// Starts from the default fleet config (2 shards, session affinity).
+    /// Starts from the default fleet shape (2 shards, session affinity).
     pub fn new() -> Self {
         FleetBuilder {
-            config: FleetConfig::default(),
+            shards: 2,
             kv: None,
             invalidate_kv_on_quarantine: false,
             probation: None,
@@ -656,7 +637,7 @@ impl FleetBuilder {
 
     /// Sets the number of shards.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
+        self.shards = shards;
         self
     }
 
@@ -680,7 +661,7 @@ impl FleetBuilder {
     /// Assembles the fleet.
     pub fn build(self) -> Result<GuillotineFleet> {
         let mut fleet =
-            GuillotineFleet::assemble(self.config, self.kv, self.invalidate_kv_on_quarantine)?;
+            GuillotineFleet::assemble(self.shards, self.kv, self.invalidate_kv_on_quarantine)?;
         if let Some((batches, cap)) = self.probation {
             fleet.probation_batches = batches;
             fleet.probation_cap = cap;
@@ -695,7 +676,6 @@ impl FleetBuilder {
 /// See the [module docs](self) for routing and quarantine semantics.
 pub struct GuillotineFleet {
     shards: Vec<Shard>,
-    datacenter: Datacenter,
     requeued: u64,
     kv: Option<Arc<KvTier>>,
     invalidate_kv_on_quarantine: bool,
@@ -720,22 +700,19 @@ pub struct GuillotineFleet {
 }
 
 impl GuillotineFleet {
-    /// Builds a fleet of `config.shards` standard deployments.
-    pub fn new(config: FleetConfig) -> Result<Self> {
-        GuillotineFleet::assemble(config, None, false)
-    }
-
     /// Starts a [`FleetBuilder`] for declarative assembly.
     pub fn builder() -> FleetBuilder {
         FleetBuilder::new()
     }
 
+    /// Shard `i` runs machine `i` with seed `default seed ^ i`; everything
+    /// else of the default [`DeploymentConfig`] is shared.
     fn assemble(
-        config: FleetConfig,
+        shard_count: usize,
         kv_config: Option<KvCacheConfig>,
         invalidate_kv_on_quarantine: bool,
     ) -> Result<Self> {
-        if config.shards == 0 {
+        if shard_count == 0 {
             return Err(GuillotineError::config("a fleet needs at least one shard"));
         }
         let kv = kv_config.map(|cfg| Arc::new(KvTier::new(cfg)));
@@ -745,14 +722,14 @@ impl GuillotineFleet {
         // (clones share the `Arc`ed compiled form), instead of each
         // shard paying its own fleet-ruleset compilation.
         let mut shared_screens: Option<(InputShield, OutputSanitizer)> = None;
-        let mut datacenter = Datacenter::new("fleet-dc0");
-        let mut shards = Vec::with_capacity(config.shards);
-        for i in 0..config.shards {
-            let machine = MachineId::new(config.base.machine.raw() + i as u32);
+        let base = DeploymentConfig::default();
+        let mut shards = Vec::with_capacity(shard_count);
+        for i in 0..shard_count {
+            let machine = MachineId::new(base.machine.raw() + i as u32);
             let (shield, sanitizer) =
                 shared_screens.get_or_insert_with(|| (InputShield::new(), OutputSanitizer::new()));
             let mut builder = DeploymentBuilder::new()
-                .with_config(config.base.clone())
+                .with_config(base.clone())
                 .with_registry(DetectorRegistry::standard_with_screens(
                     shield.clone(),
                     sanitizer.clone(),
@@ -762,9 +739,8 @@ impl GuillotineFleet {
             }
             let deployment = builder
                 .with_machine(machine)
-                .with_seed(config.base.seed ^ i as u64)
+                .with_seed(base.seed ^ i as u64)
                 .build()?;
-            datacenter.add_machine(machine);
             shards.push(Shard {
                 deployment,
                 containment: Containment::Serving,
@@ -778,7 +754,6 @@ impl GuillotineFleet {
         }
         Ok(GuillotineFleet {
             shards,
-            datacenter,
             requeued: 0,
             kv,
             invalidate_kv_on_quarantine,
@@ -910,12 +885,23 @@ impl GuillotineFleet {
         self.shards.len()
     }
 
-    /// The fleet-level datacenter hosting every shard machine. Its plant
-    /// records mirror each shard's own datacenter; the mirror is refreshed
-    /// when a batch finalizes and on [`GuillotineFleet::reinstate`] (for the
-    /// always-live view, use [`GuillotineFleet::stats`]).
-    pub fn datacenter(&self) -> &Datacenter {
-        &self.datacenter
+    /// The fleet-level datacenter hosting every shard machine: a view built
+    /// when asked from each shard's live plant records, so it is truthful
+    /// right after an out-of-band intervention through `shard_mut`.
+    pub fn datacenter(&self) -> Datacenter {
+        let mut datacenter = Datacenter::new("fleet-dc0");
+        for (machine, plant) in self.plants() {
+            datacenter.host(machine, plant.clone());
+        }
+        datacenter
+    }
+
+    /// Every shard's machine and its live plant record, in shard order.
+    fn plants(&self) -> impl Iterator<Item = (MachineId, &MachinePlant)> + '_ {
+        self.shards.iter().filter_map(|shard| {
+            let machine = shard.deployment.config().machine;
+            Some((machine, shard.deployment.datacenter().plant(machine)?))
+        })
     }
 
     /// Read access to one shard's deployment.
@@ -1022,7 +1008,6 @@ impl GuillotineFleet {
             String::new(),
         );
         self.contain(index);
-        self.sync_datacenter();
     }
 
     pub(crate) fn apply_due_crashes(&mut self) {
@@ -1126,8 +1111,8 @@ impl GuillotineFleet {
     ///
     /// Serving does this automatically at the start of every fleet batch;
     /// `reinstate` is for making an out-of-band relaxation visible to
-    /// [`GuillotineFleet::shard_for_session`] previews (and the datacenter
-    /// mirror) immediately, without serving a batch first.
+    /// [`GuillotineFleet::shard_for_session`] previews immediately, without
+    /// serving a batch first.
     ///
     /// Reinstatement is gated on the console having relaxed the shard's
     /// isolation level — the relaxation quorum lives in `guillotine-physical`'s
@@ -1136,7 +1121,6 @@ impl GuillotineFleet {
     /// quarantine on its own say-so.
     pub fn reinstate(&mut self, index: usize) -> bool {
         self.contain(index);
-        self.sync_datacenter();
         self.shards[index].takes_traffic()
     }
 
@@ -1266,8 +1250,8 @@ impl GuillotineFleet {
 
     /// After the sub-batches have been served — even partially, when a
     /// shard errored: quarantine participating shards whose detectors cut
-    /// their ports, mirror shard physical plants into the fleet datacenter,
-    /// and advance the fleet clock by the slowest participant's delta.
+    /// their ports, and advance the fleet clock by the slowest participant's
+    /// delta.
     fn finalize_batch(&mut self, participants: &[usize], before: &[SimInstant]) {
         let mut slowest = SimDuration::ZERO;
         for &shard_idx in participants {
@@ -1285,21 +1269,6 @@ impl GuillotineFleet {
             }
         }
         self.clock.advance(slowest);
-        self.sync_datacenter();
-    }
-
-    /// Mirrors every shard's machine plant (cables/hardware intact) into the
-    /// fleet-level datacenter, so `datacenter()` reports the real
-    /// multi-machine physical state.
-    fn sync_datacenter(&mut self) {
-        for shard in &self.shards {
-            let machine = shard.deployment.config().machine;
-            if let Some(plant) = shard.deployment.datacenter().plant(machine) {
-                let _ =
-                    self.datacenter
-                        .sync_plant(machine, plant.cables_intact, plant.hardware_intact);
-            }
-        }
     }
 
     fn shard_clocks(&self) -> Vec<SimInstant> {
@@ -1639,19 +1608,9 @@ impl GuillotineFleet {
                     })
                 })
                 .collect(),
-            // Computed from each shard's live plant (not the lazily-synced
-            // fleet mirror), so stats are truthful even right after an
-            // out-of-band intervention through `shard_mut`.
             intact_machines: self
-                .shards
-                .iter()
-                .filter(|s| {
-                    let machine = s.deployment.config().machine;
-                    s.deployment
-                        .datacenter()
-                        .plant(machine)
-                        .is_some_and(|p| p.cables_intact && p.hardware_intact)
-                })
+                .plants()
+                .filter(|(_, plant)| plant.cables_intact && plant.hardware_intact)
                 .count(),
         }
     }
@@ -1734,6 +1693,18 @@ mod tests {
     #[test]
     fn zero_shard_fleets_are_rejected() {
         assert!(GuillotineFleet::builder().with_shards(0).build().is_err());
+    }
+
+    #[test]
+    fn the_datacenter_view_is_live_after_an_out_of_band_decapitation() {
+        let mut fleet = GuillotineFleet::builder().with_shards(2).build().unwrap();
+        fleet
+            .shard_mut(0)
+            .console_transition(IsolationLevel::Decapitation, 3)
+            .unwrap();
+        // No `reinstate`, no batch: nothing has had a chance to sync a mirror.
+        assert_eq!(fleet.datacenter().intact_machine_count(), 1);
+        assert!(!fleet.datacenter().physical_integrity_ok());
     }
 
     #[test]

@@ -106,8 +106,8 @@ pub use campaign::{run_escape_campaign, AttackOutcome, CampaignReport};
 pub use chaos::ChaosDoor;
 pub use deployment::{DeploymentConfig, GuillotineDeployment};
 pub use fleet::{
-    BatchAttempt, FleetBuilder, FleetConfig, FleetReport, FleetStats, GuillotineFleet,
-    OutcomeHistogram, RecoveryStats, ShardStats, StageLatency,
+    BatchAttempt, FleetBuilder, FleetReport, FleetStats, GuillotineFleet, OutcomeHistogram,
+    RecoveryStats, ShardStats, StageLatency,
 };
 pub use fleet_quorum::{BulkReport, FleetConsole};
 pub use recovery::{DegradationMode, RecoveryConfig};

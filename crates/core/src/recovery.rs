@@ -99,14 +99,10 @@ impl fmt::Display for DegradationMode {
 pub struct RecoveryConfig {
     /// Bounded retry budget for a stranded (crashed-shard / serving-error)
     /// request before it is refused. `0` disables retries: failures become
-    /// refusals immediately.
+    /// refusals immediately. Rounds are spaced by a fixed exponential
+    /// backoff (1 ms base) plus seeded jitter (up to 250 µs), burned on the
+    /// fleet clock.
     pub max_retries: u32,
-    /// Base of the exponential backoff between retry rounds
-    /// (`base * 2^(attempt-1)`), burned on the fleet clock.
-    pub backoff_base: SimDuration,
-    /// Upper bound of the deterministic jitter added to each backoff
-    /// (drawn from the door's seeded RNG).
-    pub backoff_jitter: SimDuration,
     /// Per-request serve timeout: a response whose end-to-end pipeline
     /// latency exceeds this is treated as failed and re-dispatched once to
     /// another shard (the late original is suppressed). `None` disables.
@@ -122,21 +118,16 @@ pub struct RecoveryConfig {
     /// Ladder: healthy-shard fraction at or below which streaming SLOs are
     /// also suspended.
     pub streaming_health: f64,
-    /// Seed of the door's deterministic jitter RNG.
-    pub seed: u64,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
             max_retries: 2,
-            backoff_base: SimDuration::from_millis(1),
-            backoff_jitter: SimDuration::from_micros(250),
             serve_timeout: None,
             hedge_threshold: None,
             shed_health: 0.5,
             streaming_health: 0.25,
-            seed: 0x5E1F_4EA1,
         }
     }
 }
@@ -150,13 +141,10 @@ impl RecoveryConfig {
     pub fn disabled() -> Self {
         RecoveryConfig {
             max_retries: 0,
-            backoff_base: SimDuration::ZERO,
-            backoff_jitter: SimDuration::ZERO,
             serve_timeout: None,
             hedge_threshold: None,
             shed_health: -1.0,
             streaming_health: -1.0,
-            seed: 0x5E1F_4EA1,
         }
     }
 }

@@ -45,6 +45,7 @@ use std::sync::Mutex;
 pub const BYTES_PER_TOKEN: u32 = 4;
 
 /// Number of tokens in one cache block (64 bytes at the default tokenizer).
+/// A lookup reuses whole leading blocks only.
 pub const BLOCK_TOKENS: u32 = 16;
 
 /// Number of simulated tokens in `bytes` prompt bytes (ceiling division at
@@ -55,36 +56,30 @@ pub fn tokens_for_bytes(bytes: usize) -> u64 {
 
 /// Sizing of a KV cache tier.
 ///
-/// The tokenizer granularity itself is not configurable: every token count
-/// in the simulator — cache accounting here, prefill pricing in
-/// [`crate::forward`] — uses the one global [`BYTES_PER_TOKEN`], so a tier
-/// can only ever *remove* prefill work, never change its cost basis.
+/// Neither the block size ([`BLOCK_TOKENS`]) nor the tokenizer granularity
+/// is configurable: every token count in the simulator — cache accounting
+/// here, prefill pricing in [`crate::forward`] — uses the one global
+/// [`BYTES_PER_TOKEN`], so a tier can only ever *remove* prefill work, never
+/// change its cost basis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvCacheConfig {
     /// Total token budget; inserting past it evicts least-recently-used
     /// blocks (the simulated analogue of GPU KV memory).
     pub capacity_tokens: u64,
-    /// Tokens per cache block. A lookup reuses whole leading blocks only,
-    /// so smaller blocks trade map overhead for finer prefix reuse.
-    pub block_tokens: u32,
 }
 
 impl Default for KvCacheConfig {
     fn default() -> Self {
         KvCacheConfig {
             capacity_tokens: 1 << 16,
-            block_tokens: BLOCK_TOKENS,
         }
     }
 }
 
 impl KvCacheConfig {
-    /// A config sized to `capacity_tokens`, default block/tokenizer shape.
+    /// A config sized to `capacity_tokens`.
     pub fn with_capacity(capacity_tokens: u64) -> Self {
-        KvCacheConfig {
-            capacity_tokens,
-            ..KvCacheConfig::default()
-        }
+        KvCacheConfig { capacity_tokens }
     }
 }
 
@@ -242,7 +237,7 @@ impl KvCache {
     pub fn lookup_insert(&mut self, session: SessionId, shard: u32, prompt: &str) -> KvLookup {
         let bytes = prompt.as_bytes();
         let bytes_per_token = u64::from(BYTES_PER_TOKEN);
-        let block_bytes = (self.config.block_tokens.max(1) as u64 * bytes_per_token) as usize;
+        let block_bytes = (BLOCK_TOKENS * BYTES_PER_TOKEN) as usize;
         let total_tokens = tokens_for_bytes(bytes.len());
         let generation = self
             .generations
@@ -456,10 +451,7 @@ mod tests {
 
     fn small() -> KvCache {
         // Room for exactly two default blocks.
-        KvCache::new(KvCacheConfig {
-            capacity_tokens: 32,
-            block_tokens: 16,
-        })
+        KvCache::new(KvCacheConfig::with_capacity(32))
     }
 
     fn block_text(tag: u8) -> String {
@@ -534,10 +526,7 @@ mod tests {
 
     #[test]
     fn oversized_blocks_are_not_cached() {
-        let mut kv = KvCache::new(KvCacheConfig {
-            capacity_tokens: 8,
-            block_tokens: 16,
-        });
+        let mut kv = KvCache::new(KvCacheConfig::with_capacity(8));
         let lookup = kv.lookup_insert(SessionId::new(0), 0, &block_text(0));
         assert_eq!(lookup.cached_tokens, 0);
         assert_eq!(kv.used_tokens(), 0);

@@ -100,6 +100,12 @@ impl Datacenter {
         self.machines.entry(machine).or_default();
     }
 
+    /// Hosts a machine with the given plant records (replacing any it had):
+    /// how a multi-machine view is assembled from plants managed elsewhere.
+    pub fn host(&mut self, machine: MachineId, plant: MachinePlant) {
+        self.machines.insert(machine, plant);
+    }
+
     /// The plant records for one machine.
     pub fn plant(&self, machine: MachineId) -> Option<&MachinePlant> {
         self.machines.get(&machine)
@@ -170,25 +176,6 @@ impl Datacenter {
             });
         }
         plant.cables_intact = true;
-        Ok(())
-    }
-
-    /// Overwrites one machine's plant intactness with externally observed
-    /// state. Fleet-level datacenters mirror their shards' independently
-    /// managed plants through this, so a multi-machine aggregate view stays
-    /// truthful as individual shards are decapitated or repaired.
-    pub fn sync_plant(
-        &mut self,
-        machine: MachineId,
-        cables_intact: bool,
-        hardware_intact: bool,
-    ) -> Result<()> {
-        let plant = self
-            .machines
-            .get_mut(&machine)
-            .ok_or_else(|| GuillotineError::config(format!("unknown machine {machine}")))?;
-        plant.cables_intact = cables_intact;
-        plant.hardware_intact = hardware_intact;
         Ok(())
     }
 
