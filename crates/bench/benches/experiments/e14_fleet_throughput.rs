@@ -17,6 +17,15 @@
 //! serial one. Splitting a wave over more shards also *adds* sweeps (one
 //! launch per live shard), so wall-clock only wins once there are cores to
 //! overlap them on. The closing timings measure the same serve path.
+//!
+//! The sweep pool time-slices, so a wave's sweep phase costs
+//! Σ sweeps ÷ threads rather than ⌈live shards ÷ threads⌉ whole sweeps. The
+//! place that shows is an odd live-shard count, so host ms per wave is also
+//! recorded (again no bar) for waves that reach only 4, 5 and 6 shards of
+//! the 8-shard fleet. Expected shape on 2 cores: 5 live shards cost about
+//! midway between 4 and 6 (2, 2½ and 3 sweeps); under a run-to-completion
+//! pool 5 cost the same as 6, the control thread idling through the helper's
+//! odd sweep.
 
 use guillotine::fleet::GuillotineFleet;
 use guillotine::serve::ServeRequest;
@@ -72,6 +81,21 @@ fn fleet(shards: usize) -> GuillotineFleet {
         .unwrap()
 }
 
+/// Host ms per wave, best of five fresh 8-shard fleets, when the wave holds
+/// only the sessions homed on the first `live` shards.
+fn live_shard_wave_ms(sessions: &[SessionId], live: usize) -> f64 {
+    let widest = fleet(8);
+    let reached: Vec<SessionId> = sessions
+        .iter()
+        .copied()
+        .filter(|s| widest.home_shard(*s) < live)
+        .collect();
+    let host = (0..5)
+        .map(|_| serve_waves(&mut fleet(8), stream(&reached)).1)
+        .fold(f64::INFINITY, f64::min);
+    host * 1e3 / WAVES as f64
+}
+
 /// Serves `waves` and returns (simulated, host) elapsed seconds.
 fn serve_waves(fleet: &mut GuillotineFleet, waves: Vec<Vec<ServeRequest>>) -> (f64, f64) {
     let started = Instant::now();
@@ -113,6 +137,7 @@ pub fn run() {
         }
         wall.push((shards, requests / host, host * 1e3 / WAVES as f64));
     }
+    let live_ms = [4usize, 5, 6].map(|live| (live, live_shard_wave_ms(&sessions, live)));
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     for &(shards, tput) in &throughput {
         println!("e14: {shards} shard(s) -> {tput:.0} req/simulated-sec");
@@ -127,6 +152,12 @@ pub fn run() {
             "e14: {shards} shard(s) -> {req_per_s:.0} req/host-sec ({ms_per_wave:.1} ms per {WAVE_SIZE}-request wave, {cpus} CPU(s))"
         );
     }
+    for &(live, ms) in &live_ms {
+        println!(
+            "e14: {live} of 8 shards live -> {ms:.2} ms per {}-request wave ({cpus} CPU(s))",
+            live * WAVE_SIZE / 8
+        );
+    }
     assert!(
         speedup_8 >= 1.5,
         "8 shards must give >=1.5x simulated throughput over 1 (got {speedup_8:.2}x)"
@@ -137,6 +168,9 @@ pub fn run() {
     }
     for &(shards, req_per_s, _) in &wall {
         report.metric(&format!("wall_{shards}_shards_req_per_s"), req_per_s);
+    }
+    for &(live, ms) in &live_ms {
+        report.metric(&format!("wall_{live}_of_8_live_shards_ms_per_wave"), ms);
     }
     report
         .metric("available_parallelism", cpus as f64)

@@ -65,19 +65,29 @@
 //! *launched* on the model crate's sweep pool; then each sub-batch's
 //! `finish_batch` — collect the sweep, decode, output screen, assembly —
 //! and the per-shard gather, again in shard-index order. While the control
-//! thread finishes shard 0, helper threads are already sweeping shards
-//! 1, 2, …; collection is help-first, so with no helpers (one CPU) the
-//! control thread runs every sweep itself and the batch is served
-//! serially. A batch with a single live sub-batch never wakes a helper.
+//! thread is still beginning shards, helper threads are already sweeping;
+//! collection is help-first, so while shard 0's result is missing the
+//! control thread sweeps too. The pool time-slices: every thread looks at
+//! the queue after each slice of a sweep and, if another sweep is waiting,
+//! puts the remainder at the back and takes the front. The live shards'
+//! sweeps therefore share the cores evenly whatever their number — a
+//! batch's sweep phase costs max(longest sweep, Σ sweeps ÷ threads), not
+//! ⌈live shards ÷ threads⌉ whole sweeps, so five live shards on two cores
+//! cost about two and a half sweeps, not three with a core idle for the
+//! last. With no helpers (one CPU) the control thread runs the same
+//! sweeps in rotation and the batch is served serially. A batch with a
+//! single live sub-batch never yields and never wakes a helper.
 //!
-//! Only the sweep — a pure function of two integers — leaves the control
-//! thread. Every detector, hypervisor, KV-tier, clock, tracer and fleet
-//! mutation happens on that one thread in one fixed order, so simulated
-//! results are bit-identical at any core count by construction: there is
-//! no interleaving to get lucky with, including under KV capacity pressure
-//! and when a probation split puts one session on two shards of the shared
-//! tier (the two cases threading whole shards would race on). There is no
-//! flag and no shard-count threshold: this is the only way a fleet serves.
+//! Only the sweep — a pure function of two integers, each slice continuing
+//! the chain exactly where the last stopped, on whichever thread — leaves
+//! the control thread. Every detector, hypervisor, KV-tier, clock, tracer
+//! and fleet mutation happens on that one thread in one fixed order, so
+//! simulated results are bit-identical at any core count by construction:
+//! there is no interleaving to get lucky with, including under KV capacity
+//! pressure and when a probation split puts one session on two shards of
+//! the shared tier (the two cases threading whole shards would race on).
+//! There is no flag and no shard-count threshold: this is the only way a
+//! fleet serves.
 
 use crate::builder::DeploymentBuilder;
 use crate::deployment::{DeploymentConfig, GuillotineDeployment};
@@ -1888,6 +1898,37 @@ mod tests {
     }
 
     #[test]
+    fn helper_count_cannot_change_a_five_of_eight_live_shard_batch() {
+        // An odd live-shard count: two threads can only share five sweeps
+        // evenly by handing them over mid-sweep.
+        let live = [0usize, 2, 3, 5, 7];
+        let build = || shared_tier_fleet(KvCacheConfig::default());
+        let probe = &build();
+        let sessions: Vec<u32> = live
+            .iter()
+            .flat_map(|&shard| {
+                (0u32..)
+                    .filter(move |&raw| probe.home_shard(SessionId::new(raw)) == shard)
+                    .take(3)
+            })
+            .collect();
+        let trace: Vec<Vec<ServeRequest>> = (0..3)
+            .map(|wave| sessions.iter().map(|&s| turn(s, wave)).collect())
+            .collect();
+        let (inline, rotated) = serve_on_pool(&build, 0, &trace);
+        let (overlapped, _) = serve_on_pool(&build, 3, &trace);
+        assert_eq!(inline, overlapped);
+        for batch in &inline.shards {
+            let serving: std::collections::BTreeSet<usize> =
+                batch.iter().flatten().copied().collect();
+            assert!(serving.iter().eq(live.iter()));
+        }
+        assert!(inline.failed.iter().all(Vec::is_empty));
+        assert_eq!(rotated.max_pending, live.len());
+        assert!(rotated.yields > 0, "five queued sweeps must rotate");
+    }
+
+    #[test]
     fn every_live_shard_launches_before_the_first_collects() {
         let build = || GuillotineFleet::builder().with_shards(8).build().unwrap();
         // Eight live sub-batches: all eight sweeps were pending at once,
@@ -1905,6 +1946,7 @@ mod tests {
         assert_eq!(served.stats.forward_launches(), 8);
         assert_eq!(pool.max_pending, 1);
         assert_eq!((pool.wakes, pool.helpers), (0, 0));
+        assert_eq!(pool.yields, 0, "a lone sweep is never preempted");
     }
 
     #[test]

@@ -37,10 +37,66 @@
 //! live shard before collecting the first therefore overlaps them across
 //! cores, while every stateful step (detectors, KV tier, clocks, tracers)
 //! stays on the thread that called `launch`.
+//!
+//! ## Slices, and the one scheduling rule
+//!
+//! A sweep is a dependency chain: it cannot be split across threads. It
+//! can be *preempted*. A queued sweep carries how far it has got
+//! (`checksum`, `done` of `words`) and is run [`SLICE_WORDS`] words at a
+//! time with the lock released. Helpers and the help-first collector
+//! follow the same rule at every slice boundary, under the lock:
+//!
+//! 1. the sweep is finished ⇒ hand over its result;
+//! 2. else the queue is non-empty ⇒ push the remainder to the back and
+//!    take the front (round-robin);
+//! 3. else keep going.
+//!
+//! Run to completion, *n* queued sweeps on *m* threads cost ⌈n/m⌉ whole
+//! sweeps of wall-clock — with five live shards on two cores the control
+//! thread idles for a whole sweep while the helper runs the odd one.
+//! Time-sliced, the batch's sweep phase costs max(longest sweep,
+//! Σwords ÷ m) plus at most one slice (McNaughton's bound for preemptive
+//! scheduling on identical machines), at any thread count and any
+//! live-shard count. Whichever thread holds a sweep executes its chain in
+//! order from where the last holder stopped, so every checksum is the
+//! serial one bit for bit and nothing the simulation reports can depend on
+//! who ran which slice.
+//!
+//! A **lone sweep** — every 1-shard fleet, every hedge — finds the queue
+//! empty at every boundary, so it never yields, wakes nobody and starts no
+//! thread: it pays one uncontended lock per slice and is otherwise the
+//! run-to-completion sweep it always was. A **yield notifies nobody**: the
+//! yielding thread takes the next job itself, and the remainder it queued
+//! will be popped by a thread that is already awake (itself at its next
+//! boundary, if no one else), so a wake-up per slice would buy a futex
+//! syscall and nothing more. On zero helpers the rule degrades to the
+//! collector running the same sweeps in rotation — same work, same
+//! results.
+//!
+//! ## Liveness
+//!
+//! One process-wide pool serves every fleet in the process, so a remainder
+//! can be re-queued while *another* thread's collector is parked on `done`
+//! waiting for it. That cannot strand it. A thread parks only under the
+//! lock and only when the queue is empty (helpers on `work`, collectors on
+//! `done`), so a worker never parks while the queue is non-empty; every
+//! slice shortens some sweep, so a thread holding one finishes one; and a
+//! finished sweep that is not its runner's own is published under the lock
+//! with `done.notify_all()`, which wakes every parked collector to re-check
+//! for its result and, failing that, for queued work. Suppose a collector
+//! slept forever and look at the last time any collector parked: the queue
+//! was empty, so each unfinished sweep — the sleeper's among them — was in
+//! the hands of an awake thread, one each. A helper publishes whatever it
+//! finishes, and a collector stays silent only by finishing the sweep it
+//! is itself waiting for; but those *k* collectors' own *k* sweeps plus the
+//! sleeper's make *k* + 1 sweeps in *k* pairs of hands. So someone
+//! publishes, the sleeper wakes, and it finds its result, or work, or
+//! parks again — later than the last time anyone parked.
 
 use guillotine_scan::Matcher;
 use guillotine_types::SimDuration;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread;
 
@@ -49,6 +105,13 @@ use std::thread;
 /// Sized so one sweep clearly dominates per-request screening work without
 /// making single-prompt tests slow (~10⁵ mixing operations).
 pub const WEIGHT_SWEEP_WORDS: u64 = 1 << 17;
+
+/// Words a pool thread sweeps between looks at the queue (see *Slices, and
+/// the one scheduling rule* in the [module docs](self)): ⅛ of a bare
+/// launch, ≈ 25 µs. Measured on `mixed_8shard`, two cores: 2¹⁴ and 2¹⁶
+/// serve alike; 2¹² gives up a fifth of the gain and costs 2 % more CPU per
+/// request; 2¹⁰ gives up all of it and costs 10 % (lock traffic).
+pub const SLICE_WORDS: u64 = 1 << 14;
 
 /// Simulated weight words of prefill compute per uncached prompt token;
 /// cached tokens skip these words entirely.
@@ -123,9 +186,10 @@ pub struct PrefillJob<'a> {
     pub prefill_tokens: u64,
 }
 
+#[cfg(test)]
 impl<'a> PrefillJob<'a> {
     /// A job with nothing cached: the whole prompt prefills.
-    pub fn cold(prompt: &'a str) -> Self {
+    fn cold(prompt: &'a str) -> Self {
         PrefillJob {
             prompt,
             prefill_tokens: prompt_tokens(prompt),
@@ -133,15 +197,17 @@ impl<'a> PrefillJob<'a> {
     }
 }
 
-/// One pass over the simulated weight store plus a launch's prefill
-/// compute: `words` dependent mixing steps starting from `checksum`.
-/// `black_box` keeps the loop from being optimized away, so the wall-clock
-/// cost is real and both the batch amortization and the KV prefill reuse
-/// the benches measure are honest. Pure — it touches nothing but its
-/// arguments — which is what lets it run on a pool helper.
-fn sweep(checksum: u64, words: u64) -> u64 {
+/// A stretch of one pass over the simulated weight store plus a launch's
+/// prefill compute: the dependent mixing steps for `words`, starting from
+/// `checksum`. `black_box` keeps the loop from being optimized away, so
+/// the wall-clock cost is real and both the batch amortization and the KV
+/// prefill reuse the benches measure are honest. Pure — it touches nothing
+/// but its arguments — which is what lets it run on a pool helper, and
+/// chaining it over consecutive ranges is the same as one call over their
+/// union, which is what lets a sweep change hands between slices.
+fn sweep(checksum: u64, words: Range<u64>) -> u64 {
     let mut acc = checksum;
-    for word in 0..words {
+    for word in words {
         acc = std::hint::black_box(
             (acc ^ word)
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -151,11 +217,22 @@ fn sweep(checksum: u64, words: u64) -> u64 {
     acc
 }
 
-/// A sweep waiting on a pool's queue.
+/// A sweep on a pool's queue or in a pool thread's hands: the chain has
+/// reached `checksum` after `done` of its `words`.
 struct QueuedSweep {
     ticket: u64,
     checksum: u64,
+    done: u64,
     words: u64,
+}
+
+impl QueuedSweep {
+    /// Runs the next [`SLICE_WORDS`] words (fewer at the end of the sweep).
+    fn run_slice(&mut self) {
+        let end = self.words.min(self.done.saturating_add(SLICE_WORDS));
+        self.checksum = sweep(self.checksum, self.done..end);
+        self.done = end;
+    }
 }
 
 #[derive(Default)]
@@ -193,15 +270,30 @@ impl PoolShared {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Runs `job` with the lock released and re-takes it.
+    /// The one scheduling rule, for helpers and collectors alike. Runs
+    /// `job` a slice at a time with the lock released; at each boundary,
+    /// with the lock re-taken: a finished sweep is returned, otherwise a
+    /// non-empty queue gets the remainder at its back and gives up its
+    /// front, otherwise the same sweep goes on. The sweep returned may not
+    /// be the one passed in. A yield wakes nobody and — pushing into the
+    /// slot its pop just freed — allocates nothing.
     fn run<'a>(
         &'a self,
-        state: MutexGuard<'a, PoolState>,
-        job: &QueuedSweep,
-    ) -> (MutexGuard<'a, PoolState>, u64) {
-        drop(state);
-        let result = sweep(job.checksum, job.words);
-        (self.state(), result)
+        mut state: MutexGuard<'a, PoolState>,
+        mut job: QueuedSweep,
+    ) -> (MutexGuard<'a, PoolState>, QueuedSweep) {
+        loop {
+            drop(state);
+            job.run_slice();
+            state = self.state();
+            if job.done == job.words {
+                return (state, job);
+            }
+            if let Some(next) = state.queue.pop_front() {
+                state.queue.push_back(std::mem::replace(&mut job, next));
+                state.stats.yields += 1;
+            }
+        }
     }
 
     /// A helper thread's life: run queued sweeps, park when there are none.
@@ -209,9 +301,9 @@ impl PoolShared {
         let mut state = self.state();
         loop {
             if let Some(job) = state.queue.pop_front() {
-                let (retaken, result) = self.run(state, &job);
+                let (retaken, finished) = self.run(state, job);
                 state = retaken;
-                state.finished.push((job.ticket, result));
+                state.finished.push((finished.ticket, finished.checksum));
                 self.done.notify_all();
             } else if state.shutdown {
                 return;
@@ -236,11 +328,15 @@ pub struct SweepPoolStats {
     pub wakes: u64,
     /// Helper threads spawned so far: none until the first such wake-up.
     pub helpers: usize,
+    /// Unfinished sweeps handed back to the queue at a slice boundary
+    /// because another sweep was waiting. A lone sweep records none.
+    pub yields: u64,
 }
 
-/// The threads forward-pass sweeps run on: a queue of pure
-/// `(checksum, words)` jobs behind a `Mutex` + `Condvar`, drained by parked
-/// helper threads and — help-first — by whoever is collecting. See the
+/// The threads forward-pass sweeps run on: a queue of pure, resumable
+/// `(checksum, done, words)` jobs behind a `Mutex` + `Condvar`, drained a
+/// slice at a time by parked helper threads and — help-first — by whoever
+/// is collecting. See the
 /// [module docs](self). Serving uses the one process-wide pool; the
 /// explicit-helper-count constructor exists for the tests that prove the
 /// helper count cannot change a result.
@@ -323,6 +419,7 @@ impl SweepPool {
         state.queue.push_back(QueuedSweep {
             ticket,
             checksum,
+            done: 0,
             words,
         });
         state.pending += 1;
@@ -338,9 +435,9 @@ impl SweepPool {
     }
 
     /// Returns the result of sweep `ticket`, running queued sweeps — its
-    /// own or anyone's — on this thread while that result is missing.
-    /// Blocks only when the queue is empty, i.e. when the wanted sweep is
-    /// already running on another thread.
+    /// own or anyone's, by the same rule as a helper — on this thread
+    /// while that result is missing. Blocks only when the queue is empty,
+    /// i.e. when the wanted sweep is in another thread's hands.
     fn collect(&self, ticket: u64) -> u64 {
         let shared = &*self.shared;
         let mut state = shared.state();
@@ -350,13 +447,13 @@ impl SweepPool {
                 return state.finished.swap_remove(at).1;
             }
             if let Some(job) = state.queue.pop_front() {
-                let (retaken, result) = shared.run(state, &job);
+                let (retaken, finished) = shared.run(state, job);
                 state = retaken;
-                if job.ticket == ticket {
+                if finished.ticket == ticket {
                     state.pending -= 1;
-                    return result;
+                    return finished.checksum;
                 }
-                state.finished.push((job.ticket, result));
+                state.finished.push((finished.ticket, finished.checksum));
                 shared.done.notify_all();
             } else {
                 state = shared
@@ -423,7 +520,7 @@ impl BatchedForwardPass {
     }
 
     /// Creates the engine with a custom sweep size (tests use small sweeps).
-    pub fn with_sweep_words(sweep_words: u64) -> Self {
+    fn with_sweep_words(sweep_words: u64) -> Self {
         BatchedForwardPass {
             sweep_words,
             checksum: 0x6715_D00D_5EED_CAFE,
@@ -511,7 +608,8 @@ impl BatchedForwardPass {
 
     /// Runs one batched forward pass with every prompt fully uncached: a
     /// launch sweep plus full prefill, then one answer per prompt, in order.
-    pub fn run(&mut self, prompts: &[&str]) -> Vec<String> {
+    #[cfg(test)]
+    fn run(&mut self, prompts: &[&str]) -> Vec<String> {
         let jobs: Vec<PrefillJob> = prompts.iter().map(|p| PrefillJob::cold(p)).collect();
         self.run_prefill_decode(&jobs)
     }
@@ -672,7 +770,11 @@ mod tests {
     }
 
     fn engine_on(pool: &Arc<SweepPool>) -> BatchedForwardPass {
-        let mut fp = BatchedForwardPass::with_sweep_words(64);
+        engine_sweeping(pool, 64)
+    }
+
+    fn engine_sweeping(pool: &Arc<SweepPool>, sweep_words: u64) -> BatchedForwardPass {
+        let mut fp = BatchedForwardPass::with_sweep_words(sweep_words);
         fp.use_pool(Arc::clone(pool));
         fp
     }
@@ -797,6 +899,176 @@ mod tests {
         fp.collect(pending);
         assert_eq!(counters(&fp), (before, 0, 0, 0));
         assert_eq!(pool.stats().max_pending, 0);
+    }
+
+    // ------------------------------------------------------------------
+    // Sweeps that cross slice boundaries and change hands.
+    // ------------------------------------------------------------------
+
+    /// The checksum every engine starts from.
+    fn initial_checksum() -> u64 {
+        BatchedForwardPass::new().checksum
+    }
+
+    #[test]
+    fn a_sliced_sweep_equals_the_reference_at_every_boundary_case() {
+        let pool = SweepPool::with_helpers(0);
+        for words in [
+            0,
+            1,
+            SLICE_WORDS - 1,
+            SLICE_WORDS,
+            SLICE_WORDS + 1,
+            3 * SLICE_WORDS + 17,
+        ] {
+            for start in [0, 1, initial_checksum(), u64::MAX] {
+                let ticket = pool.launch(start, words);
+                assert_eq!(
+                    pool.collect(ticket),
+                    reference_sweep(start, words),
+                    "{words} words from {start:#x}"
+                );
+            }
+        }
+        assert_eq!(pool.stats().yields, 0, "one sweep at a time never yields");
+    }
+
+    #[test]
+    fn unequal_multi_slice_sweeps_interleave_like_sequential_runs() {
+        const ENGINES: usize = 5;
+        const ROUNDS: usize = 4;
+        // Two to four slices and a ragged tail each: sweeps finish at
+        // different boundaries, so remainders rotate past finished ones.
+        let words_for = |e: usize| SLICE_WORDS * (2 + e as u64) / 2 + 13 * e as u64 + 1;
+        let prompts = ["alpha", "beta beta", "gamma gamma gamma"];
+        let jobs_for = |e: usize| -> Vec<PrefillJob<'static>> {
+            prompts[..1 + e % 3]
+                .iter()
+                .map(|p| PrefillJob::cold(p))
+                .collect()
+        };
+        let sequential: Vec<_> = (0..ENGINES)
+            .map(|e| {
+                let mut fp = BatchedForwardPass::with_sweep_words(words_for(e));
+                let mut expected = fp.checksum;
+                for _ in 0..ROUNDS {
+                    fp.run_prefill_decode(&jobs_for(e));
+                    let prefill: u64 = jobs_for(e).iter().map(|j| j.prefill_tokens).sum();
+                    expected =
+                        reference_sweep(expected, words_for(e) + PREFILL_WORDS_PER_TOKEN * prefill);
+                }
+                assert_eq!(fp.checksum, expected, "engine {e}");
+                counters(&fp)
+            })
+            .collect();
+        for helpers in [0usize, 1, 3] {
+            let pool = Arc::new(SweepPool::with_helpers(helpers));
+            let mut engines: Vec<_> = (0..ENGINES)
+                .map(|e| engine_sweeping(&pool, words_for(e)))
+                .collect();
+            for round in 0..ROUNDS {
+                let mut pending: Vec<(usize, PendingSweep)> = engines
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(e, fp)| (e, fp.launch(&jobs_for(e))))
+                    .collect();
+                match round % 4 {
+                    0 => {}
+                    1 => pending.reverse(),
+                    r => pending.rotate_left(r),
+                }
+                for (e, sweep) in pending {
+                    engines[e].collect(sweep);
+                }
+            }
+            let overlapped: Vec<_> = engines.iter().map(counters).collect();
+            assert_eq!(overlapped, sequential, "{helpers} helper(s)");
+            let stats = pool.stats();
+            assert_eq!(stats.max_pending, ENGINES, "{helpers} helper(s)");
+            assert!(stats.yields > 0, "{helpers} helper(s): nothing rotated");
+        }
+    }
+
+    #[test]
+    fn queued_sweeps_rotate_and_a_lone_sweep_never_yields() {
+        const K: u64 = 4;
+        // No prefill, so every sweep is exactly K slices.
+        let nothing_to_prefill = [PrefillJob {
+            prompt: "cached",
+            prefill_tokens: 0,
+        }];
+        let pool = Arc::new(SweepPool::with_helpers(0));
+        let mut engines: Vec<_> = (0..3)
+            .map(|_| engine_sweeping(&pool, K * SLICE_WORDS))
+            .collect();
+        let pending: Vec<_> = engines
+            .iter_mut()
+            .map(|fp| fp.launch(&nothing_to_prefill))
+            .collect();
+        // Collecting the first rotates all three to one slice short of done
+        // (a yield after every slice but the one that finishes it); the
+        // other two then finish in a slice each.
+        for (fp, sweep) in engines.iter_mut().zip(pending) {
+            fp.collect(sweep);
+        }
+        assert_eq!(pool.stats().yields, 3 * (K - 1));
+        let expected = reference_sweep(initial_checksum(), K * SLICE_WORDS);
+        assert!(engines.iter().all(|fp| fp.checksum == expected));
+
+        let pool = Arc::new(SweepPool::with_helpers(3));
+        let mut lone = engine_sweeping(&pool, K * SLICE_WORDS);
+        for _ in 0..3 {
+            lone.run_prefill_decode(&nothing_to_prefill);
+        }
+        let stats = pool.stats();
+        assert_eq!((stats.yields, stats.wakes, stats.helpers), (0, 0, 0));
+    }
+
+    #[test]
+    fn two_collectors_share_one_pool() {
+        const ENGINES: usize = 3;
+        const ROUNDS: usize = 6;
+        let words_for = |side: usize, e: usize| SLICE_WORDS * (2 + e as u64) + 5 * side as u64;
+        let jobs = [PrefillJob::cold("two fleets, one process")];
+        let prefill = PREFILL_WORDS_PER_TOKEN * jobs[0].prefill_tokens;
+        let pool = Arc::new(SweepPool::with_helpers(1));
+        // Both sides launch every round at the same moment, so each
+        // collector meets the other's sweeps — and remainders of its own
+        // that the other side re-queued — on the shared queue.
+        let rounds = std::sync::Barrier::new(2);
+        let checksums: Vec<Vec<u64>> = thread::scope(|scope| {
+            let sides: Vec<_> = (0..2)
+                .map(|side| {
+                    let (pool, rounds, jobs) = (&pool, &rounds, &jobs);
+                    scope.spawn(move || {
+                        let mut engines: Vec<_> = (0..ENGINES)
+                            .map(|e| engine_sweeping(pool, words_for(side, e)))
+                            .collect();
+                        for _ in 0..ROUNDS {
+                            rounds.wait();
+                            let pending: Vec<_> =
+                                engines.iter_mut().map(|fp| fp.launch(jobs)).collect();
+                            for (fp, sweep) in engines.iter_mut().zip(pending) {
+                                fp.collect(sweep);
+                            }
+                        }
+                        engines.iter().map(|fp| fp.checksum).collect()
+                    })
+                })
+                .collect();
+            sides
+                .into_iter()
+                .map(|side| side.join().expect("a collector thread panicked"))
+                .collect()
+        });
+        for (side, checksums) in checksums.iter().enumerate() {
+            for (e, &checksum) in checksums.iter().enumerate() {
+                let expected = (0..ROUNDS).fold(initial_checksum(), |acc, _| {
+                    reference_sweep(acc, words_for(side, e) + prefill)
+                });
+                assert_eq!(checksum, expected, "side {side}, engine {e}");
+            }
+        }
     }
 
     #[test]
